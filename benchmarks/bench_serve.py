@@ -12,8 +12,9 @@ Writes the ``BENCH_PR5.json`` perf trajectory file.  Three suites:
 * **no-cache equivalence** — the same document compiled with the cache
   disabled must canonicalize identically to the cached path's result
   (the service may never change what the pipeline computes).
-* **sustained throughput (live HTTP)** — a real ``CompileServer`` on a
-  loopback port, hammered with sequential warm ``/compile`` requests;
+* **sustained throughput (live HTTP)** — the default ``CompileServer``
+  (a 1-worker compile farm) on a loopback port, hammered with
+  sequential warm ``/compile`` requests;
   reports requests/second including HTTP framing, JSON codec, and the
   verified cache read.
 
@@ -113,8 +114,7 @@ def bench_http_throughput(
     best = None
     with tempfile.TemporaryDirectory() as root:
         server = CompileServer(
-            CompileService(cache=ArtifactCache(root)),
-            port=0, workers=2, queue_limit=64, quiet=True,
+            ArtifactCache(root), port=0, queue_limit=64, quiet=True,
         ).start()
         try:
             compile_remote(document, url=server.url)  # fill the cache

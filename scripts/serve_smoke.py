@@ -3,7 +3,7 @@
 The end-to-end acceptance ritual, runnable locally (``make
 serve-smoke``) and in CI, in two phases:
 
-**Threaded phase** (the pre-farm default):
+**Default-server phase** (plain ``repro serve``, a 1-worker farm):
 
 1. start ``repro serve`` as a subprocess on an ephemeral port with a
    throwaway cache directory and ``--trace`` enabled;
@@ -132,7 +132,7 @@ def terminate_cleanly(proc, trace, timeout):
         fail(f"trace artifact {trace!r} was not written")
 
 
-def threaded_phase(args, env) -> None:
+def default_phase(args, env) -> None:
     with tempfile.TemporaryDirectory(prefix="repro-smoke-cache-") as root:
         proc, url = launch(["--cache-dir", root], args.trace, env)
         try:
@@ -147,7 +147,7 @@ def threaded_phase(args, env) -> None:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
-    print("serve-smoke: threaded phase OK "
+    print("serve-smoke: default-server phase OK "
           f"(cold miss -> warm hit, bit-identical; trace at {args.trace})")
 
 
@@ -278,7 +278,7 @@ def farm_phase(args, env) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trace", default="serve_trace.json",
-                        help="threaded-phase trace artifact path")
+                        help="default-server phase trace artifact path")
     parser.add_argument("--farm-trace", default="serve_farm_trace.json",
                         help="farm-phase merged trace artifact path")
     parser.add_argument("--timeout", type=float, default=60.0,
@@ -294,7 +294,7 @@ def main(argv=None) -> int:
         if os.path.exists(trace):
             os.unlink(trace)
 
-    threaded_phase(args, env)
+    default_phase(args, env)
     farm_phase(args, env)
     print("serve-smoke: OK")
     return 0

@@ -470,7 +470,6 @@ def inject_worker_crash(
         ArtifactCache,
         CompilationReport,
         CompileServer,
-        CompileService,
         ServeClientError,
     )
     from ..serve.client import compile_remote
@@ -485,8 +484,8 @@ def inject_worker_crash(
     )
     with tempfile.TemporaryDirectory(prefix="repro-farm-") as root:
         server = CompileServer(
-            CompileService(cache=ArtifactCache(root)),
-            port=0, processes=1, queue_limit=16,
+            ArtifactCache(root),
+            port=0, queue_limit=16,
             allow_faults=True, quiet=True,
         ).start()
         try:

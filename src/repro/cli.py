@@ -398,16 +398,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
     import threading
 
-    from .serve import ArtifactCache, CompileServer, CompileService
+    from .serve import ArtifactCache, CompileServer
 
-    _apply_jobs(args)
+    if args.workers < 1:
+        raise SystemExit(
+            f"--workers: farm size must be >= 1, got {args.workers}"
+        )
     cache = None if args.no_cache else ArtifactCache(args.cache_dir)
     server = CompileServer(
-        CompileService(cache=cache),
+        cache,
         host=args.host,
         port=args.port,
-        workers=args.threads,
-        processes=args.workers,
+        workers=args.workers,
         shard_by=args.shard_by,
         queue_limit=args.queue_limit,
         request_timeout=args.timeout,
@@ -424,15 +426,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     signal.signal(signal.SIGTERM, _on_signal)
     signal.signal(signal.SIGINT, _on_signal)
-    pool = (
-        f"farm {server.farm.size} x {args.shard_by}"
-        if server.farm is not None
-        else f"threads {server.workers}"
-    )
     print(
         f"serving on {server.url} "
         f"(cache: {'disabled' if cache is None else cache.root}, "
-        f"{pool}, queue limit {server.queue_limit})",
+        f"farm {server.farm.size} x {args.shard_by}, "
+        f"queue limit {server.queue_limit})",
         flush=True,
     )
     server.serve_forever()
@@ -478,7 +476,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         else:
             results = compile_batch_remote(
                 documents, url=args.url, options=options,
-                use_cache=not args.no_cache, jobs=args.jobs,
+                use_cache=not args.no_cache,
                 timeout=args.timeout, retries=args.retries,
             )
     except ServeClientError as exc:
@@ -771,7 +769,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the JSON-over-HTTP compilation service",
         description=(
             "Long-running compile server: POST /compile and /batch "
-            "accept to_json graph documents, results are served from "
+            "accept to_json graph documents and compile them on a "
+            "farm of worker processes; results are served from "
             "a content-addressed artifact cache when possible "
             "(bit-identical to a cold compile).  Bounded queue with "
             "429 backpressure, per-request timeouts, graceful drain "
@@ -784,21 +783,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="bind port (0 picks a free port, printed on startup)",
     )
     p.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="compile-farm worker processes serving /compile, "
-             "sharded by graph digest (0 = no farm, compile on the "
-             "in-process thread pool)",
+        "--workers", type=int, default=1, metavar="N",
+        help="compile-farm worker processes serving /compile and "
+             "/batch, sharded by graph digest (at least 1)",
     )
     p.add_argument(
         "--shard-by", default="digest", choices=["digest", "key"],
         help="farm routing: 'digest' keeps every variant of one graph "
              "on one worker (hot sessions), 'key' spreads per-option "
              "variants across the pool",
-    )
-    p.add_argument(
-        "--threads", type=int, default=2, metavar="N",
-        help="in-process worker threads (used for /batch, and for "
-             "/compile when --workers is 0)",
     )
     p.add_argument(
         "--queue-limit", type=int, default=8, metavar="N",
@@ -830,11 +823,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true",
         help="suppress per-request access logging",
     )
-    p.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for /batch fan-out "
-             "(overrides REPRO_JOBS; 0 = all cores)",
-    )
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(
@@ -861,10 +849,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--no-cache", action="store_true",
         help="ask the server to bypass its artifact cache",
-    )
-    p.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="server-side worker processes for multi-graph batches",
     )
     p.add_argument(
         "--timeout", type=float, default=60.0, metavar="SECONDS",
@@ -896,12 +880,12 @@ def build_parser() -> argparse.ArgumentParser:
         "resize",
         help="live-resize a running server's compile farm",
         description=(
-            "POST /resize to a repro serve instance started with "
-            "--workers N: grow or shrink the compile farm without a "
-            "restart.  Added workers spawn supervised; removed "
-            "workers drain their in-flight request and ship their "
-            "counters home before shutdown.  Rendezvous hashing "
-            "moves only ~1/N of the key space."
+            "POST /resize to a running repro serve instance: grow "
+            "or shrink the compile farm without a restart.  Added "
+            "workers spawn supervised; removed workers drain their "
+            "in-flight request and ship their counters home before "
+            "shutdown.  Rendezvous hashing moves only ~1/N of the "
+            "key space."
         ),
     )
     p.add_argument(

@@ -21,8 +21,8 @@ long-running, cache-fronted service:
 
 :mod:`repro.serve.service`
     :class:`CompileService` — transport-independent cache-then-compile
-    core with a per-graph :class:`CompilationSession` LRU and a
-    :func:`~repro.experiments.runner.parallel_map` batch path.
+    core with a per-graph :class:`CompilationSession` LRU and an
+    optional in-memory report tier; every farm worker owns one.
 
 :mod:`repro.serve.farm`
     :class:`WorkerFarm` — a supervised pool of compile worker
@@ -34,12 +34,13 @@ long-running, cache-fronted service:
 
 :mod:`repro.serve.server`
     :class:`CompileServer` — the ``repro serve`` JSON-over-HTTP
-    front end (stdlib ``http.server``): compile farm or in-process
-    thread pool, single-flight coalescing of identical concurrent
-    requests, bounded queue with 429 backpressure, per-request
-    timeouts, latency percentiles on ``/stats``, graceful SIGTERM
-    drain, per-request ``repro.obs`` spans (including farm-worker
-    subtrees) exported through the Chrome-trace path.
+    front end (stdlib ``http.server``) over the compile farm:
+    digest-sharded ``/compile`` and ``/batch``, live ``/resize``,
+    single-flight coalescing of identical concurrent requests,
+    bounded queue with 429 backpressure, per-request timeouts,
+    latency percentiles on ``/stats``, graceful SIGTERM drain,
+    per-request ``repro.obs`` spans (including farm-worker subtrees)
+    exported through the Chrome-trace path.
 
 :mod:`repro.serve.client`
     ``repro submit`` — submit one or many graphs to a running server
@@ -47,13 +48,13 @@ long-running, cache-fronted service:
 
 Quickstart::
 
-    $ repro serve --port 8177 &
+    $ repro serve --port 8177 &          # a 1-worker compile farm
     $ repro submit cddat                 # cold: compiles, fills cache
     $ repro submit cddat                 # warm: served from cache,
                                          # bit-identical, >=10x faster
 
 The cache can be disabled end to end (``repro serve --no-cache``,
-``repro submit --no-cache``, ``CompileService(cache=None)``), in which
+``repro submit --no-cache``, ``CompileServer(cache=None)``), in which
 case the service's outputs are bit-identical to the direct pipeline.
 """
 

@@ -1,8 +1,9 @@
 """Multi-process compile farm: digest-sharded, supervised workers.
 
-``repro serve`` used to run every compilation on the front end's own
-threads — one Python process, one GIL, one session LRU.  This module
-scales the service across worker *processes* while keeping every
+Every compilation ``repro serve`` runs happens here, in worker
+*processes* (one by default, ``--workers N`` for more), never on the
+front end's own threads: a worker that overruns its deadline can be
+killed, and the pool scales past one GIL while keeping every
 cache-locality property the session design bought:
 
 * **Sharding** — each request is routed by :func:`rendezvous_shard`
@@ -458,7 +459,9 @@ class WorkerFarm:
         self._ctx = _mp_context()
         self._handles = [_WorkerHandle(slot) for slot in range(size)]
         self._rid = itertools.count(1)
-        self._stopping = False
+        #: Set by :meth:`stop`; the supervisor sleeps on it, so a stop
+        #: wakes it at once instead of after a full sweep interval.
+        self._stopping = threading.Event()
         self._supervisor: Optional[threading.Thread] = None
         #: Serializes :meth:`resize` calls and pins the
         #: ``(size, _handles)`` pair they publish together.
@@ -484,7 +487,7 @@ class WorkerFarm:
 
     def stop(self, timeout: float = 5.0) -> None:
         """Shut every worker down; idempotent."""
-        self._stopping = True
+        self._stopping.set()
         if self._supervisor is not None:
             self._supervisor.join(timeout=timeout)
             self._supervisor = None
@@ -529,10 +532,9 @@ class WorkerFarm:
 
     def _supervise(self) -> None:
         """Respawn workers that died while idle, until :meth:`stop`."""
-        while not self._stopping:
-            time.sleep(self.supervise_interval)
+        while not self._stopping.wait(self.supervise_interval):
             for handle in list(self._handles):
-                if self._stopping:
+                if self._stopping.is_set():
                     return
                 if (
                     handle.retired
@@ -545,7 +547,7 @@ class WorkerFarm:
                 if handle.lock.acquire(blocking=False):
                     try:
                         if (
-                            not self._stopping
+                            not self._stopping.is_set()
                             and not handle.retired
                             and handle.proc is not None
                             and not handle.proc.is_alive()

@@ -1,27 +1,24 @@
-"""JSON-over-HTTP front end for the compilation service (stdlib only).
+"""JSON-over-HTTP front end for the compile farm (stdlib only).
 
-``repro serve`` wraps a :class:`~repro.serve.service.CompileService`
-in a :class:`http.server.ThreadingHTTPServer`.  The design goals, in
-order: never corrupt a result, shed load explicitly, drain cleanly.
+``repro serve`` puts a :class:`http.server.ThreadingHTTPServer` in
+front of a :class:`~repro.serve.farm.WorkerFarm` of worker
+*processes*.  The front end parses, routes and accounts; every
+compilation runs in a farm worker.  The design goals, in order: never
+corrupt a result, shed load explicitly, drain cleanly.
 
-* **Compile farm** — with ``processes > 0`` compilations run on a
-  :class:`~repro.serve.farm.WorkerFarm` of worker *processes*;
-  requests are sharded by graph content digest (rendezvous hashing)
-  so each worker's session LRU and in-memory report tier stay hot.
-  The connection thread talks straight to its shard's pipe — no
-  intermediate queue hop.  With ``processes = 0`` (the default and
-  the pre-farm behavior) compilations run on a bounded
-  ``ThreadPoolExecutor`` (``workers`` threads) in-process.
-* **Farm-aware batch** — with a farm, ``/batch`` routes *through* it:
-  every item is sharded by its own graph digest, shard groups run
-  concurrently (items within a shard in order, so each worker's
-  caches stay hot), each item reuses the per-item single-flight and
-  all three cache tiers, and item failures are isolated — one
-  malformed document or one worker crash costs that *item* an error
-  entry, never the whole batch.  Responses come back in request
-  order, success items spliced verbatim from the workers' rendered
-  bytes.  Without a farm ``/batch`` keeps the in-process
-  ``parallel_map`` fan-out, now with the same per-item isolation.
+* **Compile farm** — ``workers`` (default 1) supervised worker
+  processes; requests are sharded by graph content digest (rendezvous
+  hashing) so each worker's session LRU and in-memory report tier
+  stay hot.  The connection thread talks straight to its shard's
+  pipe — no intermediate queue hop.
+* **Batch through the farm** — ``/batch`` shards every item by its
+  own graph digest, shard groups run concurrently (items within a
+  shard in order, so each worker's caches stay hot), each item reuses
+  the per-item single-flight and all three cache tiers, and item
+  failures are isolated — one malformed document or one worker crash
+  costs that *item* an error entry, never the whole batch.  Responses
+  come back in request order, success items spliced verbatim from the
+  workers' rendered bytes.
 * **Live resizing** — ``POST /resize`` ``{"workers": N}`` grows or
   shrinks the farm without a restart: added workers are spawned
   supervised, removed workers drain (finish in-flight work, ship
@@ -38,10 +35,8 @@ order: never corrupt a result, shed load explicitly, drain cleanly.
   ``Retry-After`` header instead of unbounded buffering.  Load the
   server cannot take is the *client's* signal to back off.
 * **Per-request timeout** — a request that outlives
-  ``request_timeout`` seconds gets ``504``.  On the farm path the
-  overdue worker is killed and respawned, so a hung compile cannot
-  wedge its shard; on the thread path the worker slot is reclaimed
-  when the underlying job finishes.
+  ``request_timeout`` seconds gets ``504``; the overdue worker is
+  killed and respawned, so a hung compile cannot wedge its shard.
 * **Supervision** — a farm worker that crashes mid-request fails that
   request with a one-line ``503`` (never a hang) and is respawned
   immediately; a worker that dies idle is respawned by the farm's
@@ -61,25 +56,26 @@ order: never corrupt a result, shed load explicitly, drain cleanly.
 Endpoints
 ---------
 ``GET /healthz``
-    ``{"status": "ok" | "draining"}`` (200 / 503); with a farm, also
-    a ``farm`` object (size, alive, restarts).
+    ``{"status": "ok" | "draining", "farm": {...}}`` (200 / 503); the
+    farm object carries size, alive and restart figures.
 ``GET /stats``
     Server counters, latency percentiles, cache stats, farm stats.
 ``POST /compile``
     ``{"graph": <to_json document>, "options": {...}, "cache": true}``
     → ``{"status": "hit"|"miss"|"disabled", "report": {...}}``.
 ``POST /batch``
-    ``{"graphs": [<document>, ...], "options": {...}, "jobs": N}``
+    ``{"graphs": [<document>, ...], "options": {...}, "cache": true}``
     → ``{"responses": [{"status": ..., "report": ...}, ...]}`` in
     request order.  A failed item is ``{"status": "error", "code":
     <http-equivalent>, "error": "..."}`` with the other items intact.
+    A ``"jobs"`` field is accepted and ignored.
 ``POST /resize``
-    ``{"workers": N}`` → the post-resize farm description (400 when
-    no farm is configured).
+    ``{"workers": N}`` → the post-resize farm description.
 
 Error responses are ``{"error": "..."}`` with status 400 (malformed
-request), 404 (unknown path), 429 (queue full), 503 (draining or
-worker crash), 504 (timeout), or 500 (unexpected failure).
+request or ``Content-Length``), 404 (unknown path), 429 (queue full),
+503 (draining or worker crash), 504 (timeout), or 500 (unexpected
+failure).
 """
 
 from __future__ import annotations
@@ -90,13 +86,12 @@ import threading
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..exceptions import SDFError
 from ..sdf.io import canonical_hash
-from .cache import cache_key
+from .cache import ArtifactCache, cache_key
 from .farm import (
     FarmError,
     FarmRequestError,
@@ -104,11 +99,16 @@ from .farm import (
     FarmWorkerCrashed,
     WorkerFarm,
 )
-from .service import CompileOptions, CompileService
+from .service import CompileOptions
 
 __all__ = ["CompileServer", "DEFAULT_PORT"]
 
 DEFAULT_PORT = 8177
+
+#: How often ``serve_forever`` checks for a shutdown request; every
+#: :meth:`CompileServer.drain` waits up to this long for the accept
+#: loop to notice (the stdlib default is 0.5 s).
+_POLL_INTERVAL_S = 0.05
 
 #: Longest a coalesced follower will wait on its leader when no
 #: ``request_timeout`` is configured.  The leader always publishes a
@@ -291,11 +291,10 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
         owner = self._owner
         if self.path == "/healthz":
-            payload: Dict[str, Any] = {
-                "status": "draining" if owner.draining else "ok"
+            payload = {
+                "status": "draining" if owner.draining else "ok",
+                "farm": owner.farm.describe(),
             }
-            if owner.farm is not None:
-                payload["farm"] = owner.farm.describe()
             self._reply(503 if owner.draining else 200, payload)
         elif self.path == "/stats":
             self._reply(200, owner.stats())
@@ -307,7 +306,16 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path not in ("/compile", "/batch", "/resize"):
             self._reply(404, {"error": f"unknown path {self.path!r}"})
             return
-        length = int(self.headers.get("Content-Length", "0"))
+        try:
+            length = int(self.headers.get("Content-Length", "0"))
+        except ValueError:
+            length = -1
+        if length < 0:
+            # The body's extent is unknown, so the connection cannot
+            # be reused: answer and close rather than read to EOF.
+            self.close_connection = True
+            self._reply(400, {"error": "malformed Content-Length header"})
+            return
         raw = self.rfile.read(length) if length else b""
         code, body, headers = owner.handle_raw(self.path, raw)
         self._reply_bytes(code, body, headers)
@@ -377,19 +385,16 @@ class CompileServer:
 
     Parameters
     ----------
-    service:
-        The :class:`CompileService` handling actual compilation (the
-        thread path and ``/batch``; farm workers build their own
-        service instances over the same cache directory).
+    cache:
+        The shared on-disk :class:`~repro.serve.cache.ArtifactCache`
+        the farm workers open by path, or ``None`` to disable caching
+        (every request compiles).
     host / port:
         Bind address; ``port=0`` picks a free ephemeral port
         (``.port`` reports the bound one).
     workers:
-        Worker-pool *threads* executing in-process compilations
-        (``/batch`` always; ``/compile`` when ``processes == 0``).
-    processes:
-        Farm size: worker *processes* serving ``/compile`` requests,
-        sharded by content digest.  0 (default) disables the farm.
+        Farm size: worker *processes* serving ``/compile`` and
+        ``/batch``, sharded by content digest (at least 1).
     shard_by:
         ``"digest"`` (graph content hash) or ``"key"`` (full cache
         key) — see :class:`~repro.serve.farm.WorkerFarm`.
@@ -412,11 +417,10 @@ class CompileServer:
 
     def __init__(
         self,
-        service: Optional[CompileService] = None,
+        cache: Optional[ArtifactCache] = None,
         host: str = "127.0.0.1",
         port: int = DEFAULT_PORT,
-        workers: int = 2,
-        processes: int = 0,
+        workers: int = 1,
         shard_by: str = "digest",
         mem_entries: int = 512,
         allow_faults: bool = False,
@@ -426,8 +430,7 @@ class CompileServer:
         trace_format: str = "auto",
         quiet: bool = False,
     ) -> None:
-        self.service = service or CompileService()
-        self.workers = max(1, workers)
+        self.cache = cache
         self.queue_limit = max(1, queue_limit)
         self.request_timeout = request_timeout
         self.trace_path = trace_path
@@ -440,7 +443,6 @@ class CompileServer:
             "requests": 0, "hits": 0, "misses": 0, "compiled": 0,
             "rejected": 0, "timeouts": 0, "errors": 0,
             "coalesced": 0, "worker_failures": 0,
-            "timeout_reclaimed": 0,
         }
         self._latencies: "deque[float]" = deque(maxlen=2048)
         self._trace_trees: List[Dict[str, Any]] = []
@@ -454,32 +456,19 @@ class CompileServer:
         self._memo_lock = threading.Lock()
         self._flights: Dict[str, _Flight] = {}
         self._flight_lock = threading.Lock()
-        self.farm: Optional[WorkerFarm] = None
-        if processes > 0:
-            cache_root = (
-                self.service.cache.root
-                if self.service.cache is not None else None
-            )
-            self.farm = WorkerFarm(
-                size=processes,
-                cache_root=cache_root,
-                shard_by=shard_by,
-                mem_entries=mem_entries,
-                max_sessions=self.service.max_sessions,
-                allow_faults=allow_faults,
-            ).start()
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-serve"
-        )
-        #: Shard-group dispatch for the farm /batch path.  A persistent
-        #: pool: spawning one Thread per shard group per POST costs more
+        self.farm = WorkerFarm(
+            size=workers,
+            cache_root=cache.root if cache is not None else None,
+            shard_by=shard_by,
+            mem_entries=mem_entries,
+            allow_faults=allow_faults,
+        ).start()
+        #: Shard-group dispatch for /batch.  A persistent pool:
+        #: spawning one Thread per shard group per POST costs more
         #: than the warm dispatch it parallelizes.  run_group never
         #: re-submits, so a bounded pool cannot deadlock.
-        self._batch_pool: Optional[ThreadPoolExecutor] = (
-            ThreadPoolExecutor(
-                max_workers=8, thread_name_prefix="repro-batch"
-            )
-            if self.farm is not None else None
+        self._batch_pool = ThreadPoolExecutor(
+            max_workers=8, thread_name_prefix="repro-batch"
         )
         self._httpd = _Server((host, port), _Handler)
         self._httpd.owner = self
@@ -502,14 +491,14 @@ class CompileServer:
     def start(self) -> "CompileServer":
         """Serve on a background thread (tests, smoke harness)."""
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever, daemon=True
+            target=self.serve_forever, daemon=True
         )
         self._thread.start()
         return self
 
     def serve_forever(self) -> None:
         """Serve on the calling thread until :meth:`drain` (CLI path)."""
-        self._httpd.serve_forever()
+        self._httpd.serve_forever(poll_interval=_POLL_INTERVAL_S)
 
     def drain(self, timeout: float = 60.0) -> None:
         """Stop accepting work, finish in-flight requests, shut down.
@@ -530,11 +519,8 @@ class CompileServer:
                 if self._inflight == 0:
                     break
             time.sleep(0.02)
-        self._pool.shutdown(wait=True)
-        if self._batch_pool is not None:
-            self._batch_pool.shutdown(wait=True)
-        if self.farm is not None:
-            self.farm.stop()
+        self._batch_pool.shutdown(wait=True)
+        self.farm.stop()
         self._httpd.shutdown()
         self._httpd.server_close()
         if self._thread is not None:
@@ -547,11 +533,9 @@ class CompileServer:
     ) -> Tuple[int, bytes, Dict[str, str]]:
         """One POST body straight off the socket → response bytes.
 
-        ``/compile`` and ``/batch`` with a farm take the fast path:
-        memoized parse and routing, single-flight coalescing, direct
-        pipe dispatch on the connection thread(s).  ``/resize``
-        reconfigures the farm.  Everything else goes through the
-        legacy parse-then-:meth:`handle` flow.
+        ``/compile`` and ``/batch`` take the farm path: memoized parse
+        and routing, single-flight coalescing, direct pipe dispatch on
+        the connection thread(s).  ``/resize`` reconfigures the farm.
         """
         if self.draining:
             return self._err(503, "server is draining")
@@ -559,19 +543,9 @@ class CompileServer:
         try:
             if path == "/resize":
                 return self._handle_resize(raw)
-            if self.farm is not None:
-                if path == "/compile":
-                    return self._handle_farm(raw)
-                if path == "/batch":
-                    return self._handle_batch_farm(raw)
-            try:
-                request = json.loads(raw or b"{}")
-                if not isinstance(request, dict):
-                    raise ValueError("request body must be a JSON object")
-            except (ValueError, json.JSONDecodeError) as exc:
-                return self._err(400, f"malformed request: {exc}")
-            code, payload, headers = self.handle(path, request)
-            return code, json.dumps(payload).encode("utf-8"), headers
+            if path == "/compile":
+                return self._handle_farm(raw)
+            return self._handle_batch_farm(raw)
         finally:
             self._latencies.append(time.perf_counter() - start)
 
@@ -605,7 +579,7 @@ class CompileServer:
         document = _require(request, "graph", "/compile")
         caching = (
             bool(request.get("cache", True))
-            and self.service.cache is not None
+            and self.cache is not None
         )
         key = cache_key(document, options.key_dict()) if caching else ""
         if self.farm.shard_by == "key" and key:
@@ -725,7 +699,7 @@ class CompileServer:
         with self._lock:
             self._trace_trees.append(recorder.serialize())
 
-    # -- farm batch path ------------------------------------------------
+    # -- batch path -----------------------------------------------------
     def _parse_batch(self, raw: bytes) -> List[Tuple[str, Any]]:
         """Parse + route one ``/batch`` body, memoized on its bytes.
 
@@ -754,7 +728,7 @@ class CompileServer:
         options = CompileOptions.from_dict(request.get("options"))
         caching = (
             bool(request.get("cache", True))
-            and self.service.cache is not None
+            and self.cache is not None
         )
         faults = request.get("faults")
         if faults is not None and (
@@ -937,12 +911,6 @@ class CompileServer:
             workers = int(_require(request, "workers", "/resize"))
         except (ValueError, TypeError, json.JSONDecodeError) as exc:
             return self._err(400, f"bad request: {exc}")
-        if self.farm is None:
-            return self._err(
-                400,
-                "no farm to resize: start the server with "
-                "--workers N (N > 0) to enable live resizing",
-            )
         try:
             info = self.resize(workers)
         except ValueError as exc:
@@ -951,12 +919,10 @@ class CompileServer:
         payload.update(self.farm.describe())
         return 200, json.dumps(payload).encode("utf-8"), {}
 
-    def resize(self, processes: int) -> Dict[str, Any]:
+    def resize(self, workers: int) -> Dict[str, Any]:
         """Resize the farm live; flush routing memos.  See
         :meth:`WorkerFarm.resize`."""
-        if self.farm is None:
-            raise ValueError("server has no farm to resize")
-        info = self.farm.resize(processes)
+        info = self.farm.resize(workers)
         # Memoized bodies carry pre-resize shard numbers; flush so new
         # requests route against the new pool (in-flight stale shards
         # are re-routed by the farm itself).
@@ -964,146 +930,6 @@ class CompileServer:
             self._memo.clear()
             self._batch_memo.clear()
         return info
-
-    def handle(
-        self, path: str, request: Dict[str, Any]
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        """Dispatch one parsed POST; returns (code, payload, headers).
-
-        The thread-pool path: ``/batch`` always, and ``/compile`` when
-        no farm is configured.
-        """
-        with self._lock:
-            self._counters["requests"] += 1
-            if self._inflight >= self.queue_limit:
-                self._counters["rejected"] += 1
-                return (
-                    429,
-                    {"error": "compile queue is full, retry later"},
-                    {"Retry-After": "1"},
-                )
-            self._inflight += 1
-        cancel: Optional[threading.Event] = None
-        if self.request_timeout is not None and path == "/batch":
-            cancel = threading.Event()
-        future = self._pool.submit(self._run_job, path, request, cancel)
-        try:
-            return future.result(timeout=self.request_timeout)
-        except FutureTimeout:
-            # The job keeps running in the pool, but for /batch the
-            # cancel event stops unstarted items at the next round
-            # boundary, so the worker slot comes back promptly instead
-            # of grinding through the abandoned batch.
-            if cancel is not None:
-                cancel.set()
-            with self._lock:
-                self._counters["timeouts"] += 1
-            return (
-                504,
-                {"error": (
-                    f"request exceeded {self.request_timeout}s; "
-                    "still compiling, retry to pick up the cached result"
-                )},
-                {},
-            )
-
-    def _run_job(
-        self, path: str, request: Dict[str, Any],
-        cancel: Optional[threading.Event] = None,
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        recorder = None
-        if self.trace_path is not None:
-            from .. import obs
-
-            recorder = obs.TraceRecorder()
-        try:
-            span = (
-                recorder.span("serve.request", path=path)
-                if recorder is not None
-                else None
-            )
-            if span is not None:
-                with span:
-                    return self._dispatch(path, request, recorder, cancel)
-            return self._dispatch(path, request, recorder, cancel)
-        finally:
-            with self._lock:
-                self._inflight -= 1
-                if recorder is not None:
-                    self._trace_trees.append(recorder.serialize())
-
-    def _dispatch(
-        self, path: str, request: Dict[str, Any], recorder,
-        cancel: Optional[threading.Event] = None,
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        try:
-            if path == "/compile":
-                return self._compile_one(request, recorder)
-            return self._compile_batch(request, recorder, cancel)
-        except (SDFError, ValueError, KeyError, TypeError) as exc:
-            with self._lock:
-                self._counters["errors"] += 1
-            return 400, {"error": f"bad request: {exc}"}, {}
-        except Exception as exc:  # pragma: no cover - defensive
-            with self._lock:
-                self._counters["errors"] += 1
-            return 500, {"error": f"internal error: {exc!r}"}, {}
-
-    def _compile_one(
-        self, request: Dict[str, Any], recorder
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        document = _require(request, "graph", "/compile")
-        options = CompileOptions.from_dict(request.get("options"))
-        report, status = self.service.compile_document(
-            document, options,
-            use_cache=bool(request.get("cache", True)),
-            recorder=recorder,
-        )
-        self._account(status)
-        return 200, {"status": status, "report": report.to_json()}, {}
-
-    def _compile_batch(
-        self, request: Dict[str, Any], recorder,
-        cancel: Optional[threading.Event] = None,
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        documents = _require(request, "graphs", "/batch")
-        if not isinstance(documents, list):
-            raise ValueError("'graphs' must be a list of graph documents")
-        options = CompileOptions.from_dict(request.get("options"))
-        jobs = request.get("jobs")
-        extra: Dict[str, Any] = {}
-        if cancel is not None:  # stay duck-type compatible without it
-            extra["cancel"] = cancel
-        results = self.service.compile_batch(
-            documents, options,
-            use_cache=bool(request.get("cache", True)),
-            jobs=int(jobs) if jobs is not None else None,
-            recorder=recorder,
-            **extra,
-        )
-        responses = []
-        reclaimed = errored = 0
-        for result, status in results:
-            if status in ("error", "cancelled"):
-                if status == "cancelled":
-                    reclaimed += 1
-                else:
-                    errored += 1
-                responses.append({
-                    "status": "error",
-                    "code": int(result.get("code", 500)),
-                    "error": str(result.get("error", "")),
-                })
-                continue
-            self._account(status)
-            responses.append(
-                {"status": status, "report": result.to_json()}
-            )
-        if reclaimed or errored:
-            with self._lock:
-                self._counters["timeout_reclaimed"] += reclaimed
-                self._counters["errors"] += errored
-        return 200, {"responses": responses}, {}
 
     def _account(self, status: str) -> None:
         with self._lock:
@@ -1123,7 +949,7 @@ class CompileServer:
             window = sorted(self._latencies)
         payload: Dict[str, Any] = {
             "server": counters,
-            "workers": self.workers,
+            "workers": self.farm.size,
             "queue_limit": self.queue_limit,
             "draining": self.draining,
             "latency_ms": {
@@ -1133,24 +959,21 @@ class CompileServer:
                 "p99": round(_percentile(window, 0.99) * 1000, 3),
             },
         }
-        if self.service.cache is not None:
-            payload["cache"] = self.service.cache.stats()
-        if self.farm is not None:
-            farm = self.farm.describe()
-            workers = self.farm.worker_stats()
-            totals: Dict[str, int] = {}
-            for row in workers:
-                for name, value in row.get("counters", {}).items():
-                    totals[name] = totals.get(name, 0) + value
-            # Counters shipped home by workers drained on a shrink
-            # keep counting after the resize.
-            for name, value in self.farm.retired.get(
-                "counters", {}
-            ).items():
+        if self.cache is not None:
+            payload["cache"] = self.cache.stats()
+        farm = self.farm.describe()
+        workers = self.farm.worker_stats()
+        totals: Dict[str, int] = {}
+        for row in workers:
+            for name, value in row.get("counters", {}).items():
                 totals[name] = totals.get(name, 0) + value
-            farm["workers"] = workers
-            farm["counters"] = totals
-            payload["farm"] = farm
+        # Counters shipped home by workers drained on a shrink keep
+        # counting after the resize.
+        for name, value in self.farm.retired.get("counters", {}).items():
+            totals[name] = totals.get(name, 0) + value
+        farm["workers"] = workers
+        farm["counters"] = totals
+        payload["farm"] = farm
         return payload
 
     def _write_trace(self) -> None:

@@ -5,8 +5,7 @@ rest of the process (so nested ``parallel_map`` calls see it).  Inside
 the test suite that export must not leak across tests —
 ``monkeypatch.delenv(..., raising=False)`` on an *unset* variable
 records nothing to undo, so a CLI test that passes ``--jobs 2`` would
-silently flip every later test (notably the serve ``/batch`` tests,
-whose hit/miss statuses depend on serial fan-out) into parallel mode.
+silently flip every later test into parallel mode.
 """
 
 import os

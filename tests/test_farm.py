@@ -153,8 +153,8 @@ class TestMemoryTier:
 @pytest.fixture
 def farm_server(tmp_path):
     server = CompileServer(
-        CompileService(cache=ArtifactCache(str(tmp_path))),
-        port=0, processes=2, queue_limit=32,
+        ArtifactCache(str(tmp_path)),
+        port=0, workers=2, queue_limit=32,
         allow_faults=True, quiet=True,
     ).start()
     yield server
@@ -262,8 +262,8 @@ class TestFarmServer:
 
     def test_hung_worker_times_out_and_respawns(self, tmp_path):
         server = CompileServer(
-            CompileService(cache=ArtifactCache(str(tmp_path / "c2"))),
-            port=0, processes=1, queue_limit=8,
+            ArtifactCache(str(tmp_path / "c2")),
+            port=0, workers=1, queue_limit=8,
             request_timeout=0.5, allow_faults=True, quiet=True,
         ).start()
         try:
@@ -494,19 +494,6 @@ class TestFarmResize:
             serve_client._post(farm_server.url, "/resize", {})
         assert err.value.status == 400
         assert "missing required field 'workers'" in str(err.value)
-
-    def test_resize_without_farm_is_400(self, tmp_path):
-        server = CompileServer(
-            CompileService(cache=ArtifactCache(str(tmp_path))),
-            port=0, processes=0, quiet=True,
-        ).start()
-        try:
-            with pytest.raises(ServeClientError) as err:
-                resize_remote(2, url=server.url)
-            assert err.value.status == 400
-            assert "no farm" in str(err.value)
-        finally:
-            server.drain(timeout=10)
 
     def test_resize_under_load_drops_nothing(self, farm_server):
         # Acceptance: resizing 2->4->3->2 while batches hammer the

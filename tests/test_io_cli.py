@@ -148,6 +148,13 @@ class TestCLI:
             main(["compile", path])
         assert "invalid graph file" in str(err.value)
 
+    def test_serve_zero_workers_is_one_line_error(self):
+        with pytest.raises(SystemExit) as err:
+            main(["serve", "--workers", "0", "--port", "0"])
+        message = str(err.value)
+        assert message.startswith("--workers:")
+        assert "\n" not in message
+
     def test_table1_subset(self, capsys):
         assert main(["table1", "--systems", "4pamxmitrec"]) == 0
         out = capsys.readouterr().out

@@ -2,6 +2,7 @@
 
 import json
 import os
+import socket
 import threading
 import time
 
@@ -231,53 +232,38 @@ class TestCompileService:
         ((digest, session),) = service._sessions.items()
         assert session.graph_digest == digest
 
-    def test_batch_preserves_order_and_statuses(self, tmp_path):
-        service = CompileService(cache=ArtifactCache(str(tmp_path)))
-        docs = [to_json(small_graph()), to_json(cd_to_dat())]
-        results = service.compile_batch(docs + docs, jobs=1)
-        names = [r.graph for r, _ in results]
-        assert names == ["serve_sample", "cd2dat"] * 2
-        assert [s for _, s in results] == ["miss", "miss", "hit", "hit"]
-        assert results[0][0].canonical() == results[2][0].canonical()
-
-
-class _StubService:
-    """Duck-typed service whose compiles block until released."""
-
-    cache = None
-
-    def __init__(self, delay=0.0):
-        self.delay = delay
-        self.calls = 0
-
-    def compile_document(self, document, options, use_cache=True,
-                         recorder=None):
-        self.calls += 1
-        time.sleep(self.delay)
-        return make_report(), "disabled"
-
-    def compile_batch(self, documents, options, use_cache=True,
-                      jobs=None, recorder=None):
-        return [
-            self.compile_document(d, options, use_cache) for d in documents
-        ]
-
 
 @pytest.fixture
 def live_server(tmp_path):
+    """The default server: one farm worker over a throwaway cache."""
     server = CompileServer(
-        CompileService(cache=ArtifactCache(str(tmp_path))),
-        port=0, workers=2, queue_limit=4, quiet=True,
+        ArtifactCache(str(tmp_path)), port=0, queue_limit=4, quiet=True,
     ).start()
     yield server
     server.drain(timeout=10)
 
 
+def raw_post(server, head):
+    """Send one hand-framed request; return every byte the server sent."""
+    with socket.create_connection((server.host, server.port)) as sock:
+        sock.settimeout(5)
+        sock.sendall(head)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
 class TestCompileServer:
     def test_healthz_and_stats(self, live_server):
-        assert get_json(live_server.url, "/healthz") == {"status": "ok"}
+        health = get_json(live_server.url, "/healthz")
+        assert health["status"] == "ok"
+        assert (health["farm"]["size"], health["farm"]["alive"]) == (1, 1)
         stats = get_json(live_server.url, "/stats")
         assert stats["server"]["requests"] == 0
+        assert stats["workers"] == 1
         assert "cache" in stats
 
     def test_compile_miss_then_hit(self, live_server):
@@ -312,28 +298,51 @@ class TestCompileServer:
         payload = get_json(live_server.url, "/nope")
         assert "error" in payload
 
+    @pytest.mark.parametrize("length", [b"abc", b"-1"])
+    def test_malformed_content_length_400(self, live_server, length):
+        # A non-integer length used to drop the connection with a
+        # traceback; a negative one read to EOF and hung the handler.
+        reply = raw_post(
+            live_server,
+            b"POST /compile HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Length: " + length + b"\r\n\r\n{}",
+        )
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head.split(b"\r\n")
+        assert b"\n" not in body
+        assert "Content-Length" in json.loads(body)["error"]
+
     def test_backpressure_429(self):
         server = CompileServer(
-            _StubService(delay=0.5), port=0, workers=1,
-            queue_limit=1, quiet=True,
+            port=0, queue_limit=1, allow_faults=True, quiet=True,
         ).start()
         try:
             doc = to_json(small_graph())
+            slow = {
+                "graph": doc, "options": {}, "cache": False,
+                "fault": "sleep:1.0",
+            }
             errors = []
 
-            def slow():
+            def hold_the_slot():
                 try:
-                    compile_remote(doc, url=server.url, timeout=10)
+                    serve_client._post(server.url, "/compile", slow,
+                                       timeout=10)
                 except ServeClientError as exc:
                     errors.append(exc)
 
-            first = threading.Thread(target=slow)
+            first = threading.Thread(target=hold_the_slot)
             first.start()
-            time.sleep(0.1)  # first request now occupies the one slot
+            deadline = time.monotonic() + 5
+            while server._inflight == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
             with pytest.raises(ServeClientError) as err:
                 compile_remote(doc, url=server.url, timeout=10)
             assert err.value.status == 429
-            first.join()
+            assert err.value.retry_after == 1
+            first.join(timeout=10)
+            assert not first.is_alive()
             assert errors == []
             assert server.stats()["server"]["rejected"] == 1
         finally:
@@ -341,13 +350,16 @@ class TestCompileServer:
 
     def test_request_timeout_504(self):
         server = CompileServer(
-            _StubService(delay=1.0), port=0, workers=1,
-            queue_limit=2, request_timeout=0.05, quiet=True,
+            port=0, queue_limit=2, request_timeout=0.2,
+            allow_faults=True, quiet=True,
         ).start()
         try:
             with pytest.raises(ServeClientError) as err:
-                compile_remote(
-                    to_json(small_graph()), url=server.url, timeout=10
+                serve_client._post(
+                    server.url, "/compile",
+                    {"graph": to_json(small_graph()), "options": {},
+                     "fault": "sleep:5"},
+                    timeout=10,
                 )
             assert err.value.status == 504
             assert server.stats()["server"]["timeouts"] == 1
@@ -355,9 +367,7 @@ class TestCompileServer:
             server.drain(timeout=10)
 
     def test_drain_rejects_new_work(self, tmp_path):
-        server = CompileServer(
-            CompileService(), port=0, quiet=True,
-        ).start()
+        server = CompileServer(port=0, quiet=True).start()
         url = server.url
         server.drain(timeout=10)
         with pytest.raises(ServeClientError):
@@ -366,7 +376,7 @@ class TestCompileServer:
     def test_trace_written_on_drain(self, tmp_path):
         trace = str(tmp_path / "trace.json")
         server = CompileServer(
-            CompileService(cache=ArtifactCache(str(tmp_path / "c"))),
+            ArtifactCache(str(tmp_path / "c")),
             port=0, quiet=True, trace_path=trace,
         ).start()
         compile_remote(to_json(small_graph()), url=server.url)
@@ -378,23 +388,12 @@ class TestCompileServer:
         assert "implement" in names
 
 
-class _CountingCancel:
-    """Stub cancel handle: reports set after ``trip`` ``is_set`` calls."""
-
-    def __init__(self, trip):
-        self.trip = trip
-        self.calls = 0
-
-    def is_set(self):
-        self.calls += 1
-        return self.calls > self.trip
-
-
 class TestBatchThreadPath:
-    """/batch on the in-process pool: isolation + timeout reclaim."""
+    """/batch request validation and per-item isolation on the default
+    server."""
 
     def test_missing_field_messages_name_field_and_shape(self, live_server):
-        # Satellite: a missing graph/graphs key must produce a one-line
+        # A missing graph/graphs key must produce a one-line
         # actionable message, not a bare KeyError repr.
         for path, field in (("/compile", "graph"), ("/batch", "graphs")):
             with pytest.raises(ServeClientError) as err:
@@ -417,71 +416,6 @@ class TestBatchThreadPath:
         assert r0.canonical() == r2.canonical()
         stats = get_json(live_server.url, "/stats")["server"]
         assert stats["errors"] >= 1
-
-    def test_service_cancel_skips_unstarted_items(self, tmp_path):
-        service = CompileService(cache=ArtifactCache(str(tmp_path)))
-        docs = [to_json(small_graph()) for _ in range(5)]
-        cancel = _CountingCancel(trip=2)
-        results = service.compile_batch(docs, jobs=1, cancel=cancel)
-        statuses = [s for _, s in results]
-        # Two rounds of width 1 ran, then the cancel tripped: the
-        # remaining three items were skipped, never compiled.
-        assert statuses == ["miss", "hit", "cancelled",
-                            "cancelled", "cancelled"]
-        for payload, status in results[2:]:
-            assert status == "cancelled"
-            assert payload["code"] == 503
-            assert "cancelled" in payload["error"]
-
-    def test_batch_timeout_reclaims_pool_slot(self):
-        # Satellite: after a /batch 504 the abandoned batch must stop
-        # at the next item boundary instead of grinding the pool; the
-        # reclaim shows up in /stats as timeout_reclaimed.
-        class _SlowBatchService:
-            cache = None
-
-            def compile_batch(self, documents, options, use_cache=True,
-                              jobs=None, recorder=None, cancel=None):
-                out = []
-                for document in documents:
-                    if cancel is not None and cancel.is_set():
-                        out.append((
-                            {"error": "cancelled", "code": 503},
-                            "cancelled",
-                        ))
-                        continue
-                    time.sleep(0.2)
-                    out.append((
-                        {"error": "should have timed out", "code": 500},
-                        "error",
-                    ))
-                return out
-
-        server = CompileServer(
-            _SlowBatchService(), port=0, workers=1,
-            queue_limit=4, request_timeout=0.1, quiet=True,
-        ).start()
-        try:
-            with pytest.raises(ServeClientError) as err:
-                serve_client._post(
-                    server.url, "/batch",
-                    {"graphs": [{}] * 6, "options": {}}, timeout=30,
-                )
-            assert err.value.status == 504
-            deadline = time.monotonic() + 10
-            while time.monotonic() < deadline:
-                stats = server.stats()["server"]
-                if stats["timeout_reclaimed"] >= 4 and not stats["inflight"]:
-                    break
-                time.sleep(0.05)
-            assert stats["timeouts"] == 1
-            # At most two items ran (one in flight at the 504, maybe
-            # one more before the event was observed): the rest were
-            # reclaimed without executing.
-            assert stats["timeout_reclaimed"] >= 4
-            assert stats["inflight"] == 0
-        finally:
-            server.drain(timeout=10)
 
 
 class TestCacheCorruptInjection:
