@@ -13,12 +13,14 @@ test:
 # Tier-1 suite plus the differential checking harness (25 random
 # graphs cycling through the acyclic/broadcast/cyclic families, every
 # cross-layer oracle, fault-injection self-test included).  Wall time
-# lands in BENCH_PR2.json.
+# lands in .bench_build/BENCH_PR2.json (untracked, so the committed
+# BENCH_PR2.json record stays as it is).
 check:
 	$(PYTHON) -m pytest tests/ -x -q
+	mkdir -p .bench_build
 	PYTHONPATH=src $(PYTHON) -m repro check --trials 25 --inject \
 		--families acyclic,broadcast,cyclic \
-		--bench-out BENCH_PR2.json
+		--bench-out .bench_build/BENCH_PR2.json
 
 # Documentation gate: every intra-repo markdown link must resolve and
 # every ```console fence's repro invocation must parse against the

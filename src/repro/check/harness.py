@@ -308,8 +308,9 @@ def run_check(
         ``families[i % len(families)]``); any non-empty subset of
         :data:`DEFAULT_FAMILIES`.
     backend:
-        Kernel backend the trial pipelines compile with (``"auto"``,
-        ``"python"``, or ``"native"``).  Whenever native kernels are
+        Kernel backend the acyclic and broadcast trial pipelines
+        compile with (``"auto"``, ``"python"``, or ``"native"``; cyclic
+        trials never run the chain DP).  Whenever native kernels are
         actually available the ``oracle.native`` group re-runs each
         trial on the *other* backend and pins bit-identity regardless
         of this setting.
@@ -349,8 +350,7 @@ def run_check(
         def violations_for(candidate: SDFGraph, rec=None) -> List[str]:
             if family == "cyclic":
                 return cyclic_oracles(
-                    candidate, occurrence_cap=occurrence_cap, recorder=rec,
-                    backend=backend,
+                    candidate, occurrence_cap=occurrence_cap, recorder=rec
                 )
             return _violations_for(
                 candidate, method, seed, occurrence_cap, recorder=rec,

@@ -584,8 +584,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--backend", default="auto", choices=["auto", "python", "native"],
-        help="kernel backend for the DP/first-fit hot loops (auto: "
-             "cc-compiled native kernels when a compiler is available, "
+        help="kernel backend for the DPPO/SDPPO dynamic programs (auto: "
+             "the cc-compiled native kernel when a compiler is available, "
              "silently falling back to python; results are "
              "bit-identical either way)",
     )
@@ -649,7 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--backend", default="auto", choices=["auto", "python", "native"],
-        help="kernel backend for the DP/first-fit hot loops "
+        help="kernel backend for the DPPO/SDPPO dynamic programs "
              "(bit-identical results; native counters show up in the "
              "stats table)",
     )
@@ -742,9 +742,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--backend", default="auto", choices=["auto", "python", "native"],
-        help="kernel backend the trial pipelines compile with; when "
-             "native kernels are available the oracle.native group "
-             "cross-checks both backends regardless",
+        help="kernel backend for the trial pipelines' DPPO/SDPPO "
+             "dynamic programs; when the native kernel is available "
+             "the oracle.native group cross-checks both backends "
+             "regardless",
     )
     p.add_argument(
         "--bench-out", metavar="FILE", default=None,

@@ -34,8 +34,8 @@ the scalar VM as the corruption oracle and uses this one to check the
 vectorized execution path itself.
 
 When numpy is unavailable the transfers degrade to per-token Python
-loops with identical semantics (the repo-wide optional-acceleration
-convention).
+loops with identical semantics.  This VM is the only module in the
+package that imports numpy.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ class BatchedVM:
         if _np is not None:
             self.mem_edge = _np.full(total, _UNWRITTEN, dtype=_np.int64)
             self.mem_seq = _np.zeros(total, dtype=_np.int64)
-        else:  # pragma: no cover - exercised only without numpy
+        else:
             self.mem_edge = [_UNWRITTEN] * total
             self.mem_seq = [0] * total
         self._edges: Dict[Key, _BufState] = {}
@@ -330,10 +330,10 @@ class BatchedVM:
                 state.base + sl[:, None] * ts
                 + _np.arange(ts, dtype=_np.int64)[None, :]
             ).ravel()
-        sl = [start_slot + j for j in range(m)]  # pragma: no cover
-        if state.circular:  # pragma: no cover
+        sl = [start_slot + j for j in range(m)]
+        if state.circular:
             sl = [s % state.slots for s in sl]
-        return [  # pragma: no cover
+        return [
             state.base + s * ts + w for s in sl for w in range(ts)
         ]
 
@@ -361,7 +361,7 @@ class BatchedVM:
             seqs = state.produced + _np.arange(m, dtype=_np.int64)
             self.mem_edge[idx] = state.eid
             self.mem_seq[idx] = _np.repeat(seqs, ts)
-        else:  # pragma: no cover - exercised only without numpy
+        else:
             for j, i in enumerate(idx):
                 self.mem_edge[i] = state.eid
                 self.mem_seq[i] = state.produced + j // ts
@@ -400,7 +400,7 @@ class BatchedVM:
                 self.mem_seq[idx] != seqs
             )
             pos = int(_np.argmax(bad)) if bool(bad.any()) else -1
-        else:  # pragma: no cover - exercised only without numpy
+        else:
             pos = -1
             for j, i in enumerate(idx):
                 if (

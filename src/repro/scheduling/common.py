@@ -8,6 +8,8 @@ of a split combine.  This module provides the common machinery:
 * :class:`ChainContext` — the lexical order, repetitions, per-window
   gcds ``g[i][j] = gcd(q_i..q_j)``, and incremental split-crossing cost
   sums (EQ 3/4);
+* :func:`dp_over_context` — the one pure-Python EQ 2 / EQ 5
+  recurrence; :func:`dp_for_backend` picks it or the native kernel;
 * :func:`build_schedule_from_splits` — reconstruct the nested looped
   schedule from a table of optimal split points, applying the factoring
   decision recorded per window.
@@ -28,17 +30,13 @@ from ..sdf.repetitions import repetitions_vector, total_tokens_exchanged
 from ..sdf.schedule import Firing, Loop, LoopedSchedule, ScheduleNode
 from ..sdf.topsort import is_topological_order
 
-try:  # optional acceleration; every algorithm has a pure-Python path
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 __all__ = [
     "ChainContext",
     "build_schedule_from_splits",
     "SplitTable",
     "aggregate_pair_weights",
     "broadcast_group_weights",
+    "dp_for_backend",
     "dp_over_context",
 ]
 
@@ -231,23 +229,12 @@ class ChainContext:
         #: shared DP reduces to the plain EQ 5 recurrence.
         self.has_delays = dws[self.n][self.n] > 0
         self._scan_arrays: Optional[tuple] = None
-        self._np_state: Optional[tuple] = None
-        # The vectorized DP stores prefix sums in int64; bail out to the
-        # pure-Python path (exact big ints) if DP accumulations could
-        # overflow: costs are bounded by the total weight times the
-        # nesting depth.  Below ~30 actors the per-length array overhead
-        # exceeds the win, so small chains stay pure Python.
+        #: Whether the cc-compiled DP kernel may run: its int64
+        #: accumulations must not overflow, and DP costs are bounded by
+        #: the total weight times the nesting depth.  Ineligible
+        #: contexts (big-int weights) silently take the Python path,
+        #: whose ints are exact at any size.
         total_w = tws[self.n][self.n] + dws[self.n][self.n]
-        self.use_numpy = (
-            _np is not None
-            and self.n >= 30
-            and (total_w + 1) * (self.n + 2) < 2**62
-        )
-        #: Whether the cc-compiled DP kernel may run: same int64
-        #: accumulation bound as the numpy path but no size floor — a
-        #: C call is cheap enough for small windows, and running native
-        #: everywhere maximizes differential coverage.  Ineligible
-        #: contexts (big-int weights) silently take the Python path.
         self.use_native = (
             self.n >= 2 and (total_w + 1) * (self.n + 2) < 2**62
         )
@@ -271,7 +258,7 @@ class ChainContext:
         diagonal (T = twT - diag_t, D = dwT - diag_d, A = T + D), and
         per row the tw/dw prefix sum, so the scan zips two (gcd 1) or
         four contiguous slices instead of six.  Built lazily — the
-        vectorized DP never needs them.
+        native DP never needs them.
         """
         if self._scan_arrays is None:
             tws, dws = self._tw_prefix, self._dw_prefix
@@ -288,16 +275,6 @@ class ChainContext:
             ]
             self._scan_arrays = (colT, colD, colA, sum_prefix)
         return self._scan_arrays
-
-    def _numpy_state(self) -> tuple:
-        """int64 copies of the prefix/gcd tables for the vectorized DP."""
-        if self._np_state is None:
-            Pt = _np.asarray(self._tw_prefix, dtype=_np.int64)
-            Pd = _np.asarray(self._dw_prefix, dtype=_np.int64)
-            Pp = _np.asarray(self._ptw_prefix, dtype=_np.int64)
-            G = _np.asarray(self._g, dtype=_np.int64) if self.n else None
-            self._np_state = (Pt, Pd, Pp, G)
-        return self._np_state
 
     # ------------------------------------------------------------------
     def window_gcd(self, i: int, j: int) -> int:
@@ -419,95 +396,106 @@ def dp_over_context(
     shared: bool,
     factoring: str = "auto",
 ) -> Tuple[List[List[int]], Dict[Tuple[int, int], int], Dict[Tuple[int, int], bool]]:
-    """Vectorized EQ 2 / EQ 5 DP over ``context`` (requires numpy).
+    """The EQ 2 / EQ 5 chain DP over ``context``, in pure Python.
 
-    Processes one window length per step: all windows of that length
-    are strided views into the DP table and the weight prefix sums, so
-    each anti-diagonal costs a constant number of array operations.
-    Returns ``(b, split, factored)`` with ``b`` the dense cost table
-    (rows of plain ints), matching the pure-Python DP bit for bit —
-    ``argmin`` and ``list.index`` both take the first minimum, and all
-    arithmetic is exact int64 (guarded by ``context.use_numpy``).
+    Returns ``(b, split, factored)``: ``b`` the dense cost table (rows
+    of plain ints, zero on and below the diagonal), ``split`` the
+    chosen split per window ``(i, j)``, and ``factored`` the section
+    5.1 factoring decision per window (shared DP only; the non-shared
+    DP always factors and returns an empty dict).  This is the oracle
+    the native kernel (``NativeKernels.dp_over_context``) must match
+    bit for bit.
 
-    ``shared`` selects the combiner.  Non-shared (EQ 2) sums the
-    halves.  Shared (EQ 5) splits every cost into an *episodic* part
-    (delayless buffers, live only during their episode — combined with
-    ``max``) and a *persistent* part (delayed-edge circular buffers,
-    live across the whole period — always summed):
+    Every window cost splits into an *episodic* part (buffers live
+    only during their episode, combined with ``max``) and a
+    *persistent* part (always summed):
 
-        total = max(ep_l, ep_r) + pers_l + pers_r + c_ij[k]
+        total(k) = max(ep_l, ep_r) + pers_l + pers_r + c_ij[k]
 
-    The persistent part of the crossing cost cancels in the total (it
-    is included in ``c_ij[k]``), so only the episodic/persistent book
-    tables need the extra rectangle query.  On a delayless graph every
-    persistent term is zero and the recurrence collapses to the plain
-    ``max(left, right) + c`` form, so that path skips the bookkeeping.
+    One recurrence serves both cost models:
 
-    ``factored`` is only meaningful for the shared DP, where
-    ``factoring`` applies the section 5.1 policy; the non-shared DP
-    always factors.
+    * shared (EQ 5): delayless buffers are episodic, and delayed-edge
+      circular buffers — live across the whole period because their
+      ``del(e)`` tokens wrap around — are persistent.  On a delayless
+      graph every persistent term is zero and the recurrence is the
+      plain ``max(left, right) + c`` form.
+    * non-shared (EQ 2): every buffer is persistent, so every episodic
+      term is zero and the recurrence is ``left + right + c``.
+
+    The persistent part of the crossing cost is inside ``c_ij[k]``
+    already (it cancels in the total), so only the chosen split needs
+    it, to update the episodic/persistent book tables.  The scan keeps
+    the *first* minimum over ascending ``k``.
     """
-    np = _np
     n = context.n
-    Pt, Pd, Pp, G = context._numpy_state()
-    s0, s1 = Pt.strides
-    b = np.zeros((n, n), dtype=np.int64)
-    bs0, bs1 = b.strides
+    pers_split = shared and context.has_delays
+    # Book tables, kept both row-major and transposed so the split scan
+    # zips contiguous slices: the left halves [i][i..j-1] and the right
+    # halves [i+1..j][j].
+    ep = [[0] * n for _ in range(n)]
+    epT = [[0] * n for _ in range(n)]
+    pers = [[0] * n for _ in range(n)]
+    persT = [[0] * n for _ in range(n)]
     split: Dict[Tuple[int, int], int] = {}
     factored: Dict[Tuple[int, int], bool] = {}
-    strided = np.lib.stride_tricks.as_strided
-    pers_split = shared and context.has_delays
-    if pers_split:
-        ep = np.zeros((n, n), dtype=np.int64)
-        pers = np.zeros((n, n), dtype=np.int64)
-
-    def rect(P, L, W, K):
-        # Crossing cost rectangles with r = i+d+1, jj = i+L:
-        # x = P[r][jj] - P[i][jj] - P[r][r] + P[i][r].
-        return (
-            strided(P[1:, L:], shape=(W, K), strides=(s0 + s1, s0))
-            - np.diagonal(P, offset=L)[:W, None]
-            - strided(P[1:, 1:], shape=(W, K), strides=(s0 + s1, s0 + s1))
-            + strided(P[:, 1:], shape=(W, K), strides=(s0 + s1, s1))
-        )
-
-    for L in range(2, n + 1):
-        W = n - L + 1  # windows of this length
-        K = L - 1  # splits per window; d = k - i below
-        rows = np.arange(W)
-        tw = rect(Pt, L, W, K)
-        dw = rect(Pd, L, W, K)
-        g = np.diagonal(G, offset=L - 1)[:W, None]  # g[i][i+L-1]
-        cost = tw // g + dw
-        if pers_split:
-            # ep_l[i, d] = ep[i, i+d]; ep_r[i, d] = ep[i+d+1, i+L-1],
-            # likewise the persistent halves.
-            ep_l = strided(ep, shape=(W, K), strides=(bs0 + bs1, bs1))
-            ep_r = strided(ep[1:, L - 1:], shape=(W, K), strides=(bs0 + bs1, bs0))
-            p_l = strided(pers, shape=(W, K), strides=(bs0 + bs1, bs1))
-            p_r = strided(pers[1:, L - 1:], shape=(W, K), strides=(bs0 + bs1, bs0))
-            total = np.maximum(ep_l, ep_r) + p_l + p_r + cost
-        else:
-            # left[i, d] = b[i, i+d]; right[i, d] = b[i+d+1, i+L-1].
-            left = strided(b, shape=(W, K), strides=(bs0 + bs1, bs1))
-            right = strided(b[1:, L - 1:], shape=(W, K), strides=(bs0 + bs1, bs0))
-            total = (np.maximum(left, right) if shared else left + right) + cost
-        kd = np.argmin(total, axis=1)
-        b[rows, rows + K] = total[rows, kd]
-        if pers_split:
-            p_cost = rect(Pp, L, W, K) // g + dw
-            new_pers = p_l[rows, kd] + p_r[rows, kd] + p_cost[rows, kd]
-            pers[rows, rows + K] = new_pers
-            ep[rows, rows + K] = total[rows, kd] - new_pers
-        keys = list(zip(rows.tolist(), (rows + K).tolist()))
-        split.update(zip(keys, (rows + kd).tolist()))
-        if shared:
-            if factoring == "auto":
-                flags = (cost[rows, kd] > 0).tolist()
+    for length in range(2, n + 1):
+        for i in range(0, n - length + 1):
+            j = i + length - 1
+            costs = context.crossing_costs_for_window(i, j)
+            epi = ep[i]
+            pi = pers[i]
+            candidates = [
+                (x if x > y else y) + pl + pr + c
+                for x, y, pl, pr, c in zip(
+                    epi[i:j],
+                    epT[j][i + 1 : j + 1],
+                    pi[i:j],
+                    persT[j][i + 1 : j + 1],
+                    costs,
+                )
+            ]
+            best = min(candidates)
+            d = candidates.index(best)
+            k = i + d
+            if not shared:
+                p_cross = costs[d]
+            elif pers_split:
+                p_cross = context.pers_crossing_cost(i, j, k)
             else:
-                flags = [factoring == "always"] * W
-            factored.update(zip(keys, flags))
-    return b.tolist(), split, factored
+                p_cross = 0
+            new_pers = pi[k] + persT[j][k + 1] + p_cross
+            pi[j] = persT[j][i] = new_pers
+            epi[j] = epT[j][i] = best - new_pers
+            split[(i, j)] = k
+            if shared:
+                # Section 5.1 heuristic: factor iff the merge has
+                # internal edges.  Crossing costs are strictly positive
+                # whenever a crossing edge exists, so a zero cost means
+                # the halves are independent; keep them unfactored so
+                # their buffers stay disjoint (figure 7(a) vs 7(b)).
+                if factoring == "auto":
+                    factored[(i, j)] = costs[d] > 0
+                else:
+                    factored[(i, j)] = factoring == "always"
+    b = [[x + y for x, y in zip(er, pr)] for er, pr in zip(ep, pers)]
+    return b, split, factored
+
+
+def dp_for_backend(context: ChainContext, backend: str) -> Callable:
+    """The DP implementation DPPO and SDPPO run over ``context``.
+
+    The native kernel's ``dp_over_context`` when ``backend`` asks for
+    it (``"native"``/``"auto"``), a kernel loads, and the context is
+    int64-safe (``context.use_native``); :func:`dp_over_context`
+    otherwise.  Both return bit-identical ``(b, split, factored)``.
+    """
+    if backend != "python" and context.use_native:
+        from ..native import resolve_backend
+
+        _, kernels = resolve_backend(backend)
+        if kernels is not None:
+            return kernels.dp_over_context
+    return dp_over_context
 
 
 @dataclass

@@ -28,7 +28,7 @@ from .common import (
     ChainContext,
     SplitTable,
     build_schedule_from_splits,
-    dp_over_context,
+    dp_for_backend,
 )
 
 __all__ = ["DPPOResult", "dppo"]
@@ -80,8 +80,8 @@ def dppo(
     same order share one precomputation.
 
     ``backend`` selects the DP implementation: ``"python"`` (the
-    default; vectorizes with numpy on large eligible contexts),
-    ``"native"`` or ``"auto"`` to run the cc-compiled kernel where
+    default) runs :func:`~repro.scheduling.common.dp_over_context`;
+    ``"native"`` or ``"auto"`` run the cc-compiled kernel where
     available and eligible — bit-identical results either way, with a
     silent fall-through to the Python path when the kernel cannot run.
 
@@ -104,35 +104,8 @@ def dppo(
     if context is None:
         context = ChainContext(graph, order, q)
     n = context.n
-    b = split = None
-    if backend != "python" and context.use_native:
-        from ..native import resolve_backend
-
-        _, kernels = resolve_backend(backend)
-        if kernels is not None:
-            b, split, _ = kernels.dp_over_context(context, shared=False)
-    if b is None and context.use_numpy:
-        b, split, _ = dp_over_context(context, shared=False)
-    elif b is None:
-        # b[i][j] = optimal cost of window (i, j), kept both row-major
-        # and transposed so the split scan zips two contiguous slices:
-        # the left halves b[i][i..j-1] and the right halves b[i+1..j][j].
-        b = [[0] * n for _ in range(n)]
-        bT = [[0] * n for _ in range(n)]
-        split = {}
-        for length in range(2, n + 1):
-            for i in range(0, n - length + 1):
-                j = i + length - 1
-                costs = context.crossing_costs_for_window(i, j)
-                bi = b[i]
-                candidates = [
-                    x + y + c
-                    for x, y, c in zip(bi[i:j], bT[j][i + 1 : j + 1], costs)
-                ]
-                best = min(candidates)
-                bi[j] = best
-                bT[j][i] = best
-                split[(i, j)] = i + candidates.index(best)
+    dp = dp_for_backend(context, backend)
+    b, split, _ = dp(context, shared=False)
 
     factored = {key: True for key in split}
     schedule = build_schedule_from_splits(

@@ -425,3 +425,37 @@ class TestCacheCorruptInjection:
         outcome = inject_cache_corrupt(art, random.Random(seed))
         assert outcome is not None
         assert outcome.caught, outcome.detail
+
+
+class TestImportFootprint:
+    def test_service_compile_leaves_numpy_unloaded(self):
+        # numpy is optional and only the batched VM uses it; the
+        # compile server, its farm workers and the pipeline must not
+        # pay its import time and memory.  A fresh interpreter, because
+        # this one has imported numpy through other tests.
+        import subprocess
+        import sys
+
+        code = (
+            "import sys\n"
+            "import repro.serve.server, repro.serve.farm\n"
+            "import repro.scheduling.pipeline\n"
+            "from repro.apps import table1_graph\n"
+            "from repro.sdf.io import to_json\n"
+            "from repro.serve.service import CompileService\n"
+            "report, status = CompileService(cache=None).compile_document(\n"
+            "    to_json(table1_graph('satrec')))\n"
+            "assert report.graph == 'satrec', report.graph\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "False"

@@ -11,10 +11,12 @@ observables *and* byte-identical errors), the block-at-a-time
 
 import pytest
 
+from repro.allocation.first_fit import Allocation
 from repro.apps import cd_to_dat
+from repro.codegen import batched_vm
 from repro.codegen.batched_vm import BatchedVM
 from repro.codegen.vm import SharedMemoryVM, run_shared_memory_check
-from repro.exceptions import ScheduleError
+from repro.exceptions import CodegenError, ScheduleError
 from repro.scheduling.pipeline import implement
 from repro.scheduling.vectorize import (
     blocked_cost,
@@ -277,6 +279,54 @@ class TestBatchedVM:
             g, result.lifetimes, result.allocation,
             periods=3, vm_class=BatchedVM,
         )
+
+    @staticmethod
+    def _observe(graph, lifetimes, allocation, periods, numpy_free):
+        vm = BatchedVM(graph, lifetimes, allocation)
+        assert isinstance(vm.mem_edge, list) == numpy_free
+        try:
+            vm.run(periods=periods)
+        except CodegenError as exc:
+            return ("CodegenError", str(exc))
+        return (vm.firings, vm.firings_per_actor, vm.peak_address)
+
+    def test_pure_list_path_matches_numpy(self, monkeypatch):
+        # Without numpy the VM's transfers degrade to per-token list
+        # loops; they must observe exactly what the array path does,
+        # errors included.  Overlaying every buffer at offset 0 is the
+        # unsafe allocation that makes the token check fire.
+        pytest.importorskip("numpy")
+        delayed = SDFGraph("dly")
+        delayed.add_actors("ABC")
+        delayed.add_edge("A", "B", 2, 1, delay=1)
+        delayed.add_edge("B", "C", 1, 3)
+        cases = [(random_sdf_graph(10, seed=900 + s), "apgan", 2)
+                 for s in range(4)]
+        cases += [(random_broadcast_sdf_graph(10, seed=60 + s), "apgan", 2)
+                  for s in range(2)]
+        cases.append((delayed, "natural", 3))
+        errors = 0
+        for graph, method, periods in cases:
+            result = implement(graph, method, verify=False, vectorize=True)
+            buffers = result.lifetimes.as_list()
+            overlaid = Allocation(
+                offsets={b.name: 0 for b in buffers},
+                total=max(b.size for b in buffers),
+                order=[b.name for b in buffers],
+                graph=result.allocation.graph,
+            )
+            for allocation in (result.allocation, overlaid):
+                args = (graph, result.lifetimes, allocation, periods)
+                with_numpy = self._observe(*args, numpy_free=False)
+                with monkeypatch.context() as patch:
+                    patch.setattr(batched_vm, "_np", None)
+                    without = self._observe(*args, numpy_free=True)
+                assert without == with_numpy, graph.name
+                if allocation is result.allocation:
+                    assert with_numpy[0] != "CodegenError", with_numpy
+                else:
+                    errors += with_numpy[0] == "CodegenError"
+        assert errors == len(cases)
 
 
 class TestVectorizedPipeline:
