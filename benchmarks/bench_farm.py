@@ -51,7 +51,8 @@ from repro.experiments.runner import TimingReport  # noqa: E402
 from repro.scheduling.pipeline import implement  # noqa: E402
 from repro.sdf.io import from_json, to_json  # noqa: E402
 from repro.sdf.random_graphs import random_sdf_graph  # noqa: E402
-from repro.serve import ArtifactCache, CompileServer  # noqa: E402
+from repro.serve.cache import ArtifactCache  # noqa: E402
+from repro.serve.server import CompileServer  # noqa: E402
 from repro.serve.report import CompilationReport  # noqa: E402
 
 WORKER_SWEEP = (1, 2, 4, 8)

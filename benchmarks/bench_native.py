@@ -41,7 +41,7 @@ from repro.native import build_kernel, get_kernels  # noqa: E402
 from repro.scheduling.sdppo import sdppo  # noqa: E402
 from repro.sdf.io import to_json  # noqa: E402
 from repro.sdf.random_graphs import random_sdf_graph  # noqa: E402
-from repro.serve import CompileOptions, CompileService  # noqa: E402
+from repro.serve.service import CompileOptions, CompileService  # noqa: E402
 
 #: Acceptance bar: native vs pure-Python scalar DP at the largest size.
 MIN_DP_SPEEDUP = 10.0

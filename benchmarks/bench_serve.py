@@ -41,11 +41,9 @@ from repro.apps import table1_graph  # noqa: E402
 from repro.apps.ptolemy_demos import cd_to_dat  # noqa: E402
 from repro.experiments.runner import TimingReport  # noqa: E402
 from repro.sdf.io import to_json  # noqa: E402
-from repro.serve import (  # noqa: E402
-    ArtifactCache,
-    CompileServer,
-    CompileService,
-)
+from repro.serve.cache import ArtifactCache  # noqa: E402
+from repro.serve.server import CompileServer  # noqa: E402
+from repro.serve.service import CompileService  # noqa: E402
 from repro.serve.client import compile_remote  # noqa: E402
 
 #: Acceptance floor: a warm-cache CD-DAT submit must beat cold by this.

@@ -392,7 +392,8 @@ def inject_cache_corrupt(
     import tempfile
 
     from ..sdf.io import to_json
-    from ..serve import ArtifactCache, CompileOptions, CompileService
+    from ..serve.cache import ArtifactCache
+    from ..serve.service import CompileOptions, CompileService
 
     document = to_json(art.graph)
     options = CompileOptions(
@@ -466,13 +467,10 @@ def inject_worker_crash(
     import tempfile
 
     from ..sdf.io import to_json
-    from ..serve import (
-        ArtifactCache,
-        CompilationReport,
-        CompileServer,
-        ServeClientError,
-    )
-    from ..serve.client import compile_remote
+    from ..serve.cache import ArtifactCache
+    from ..serve.client import ServeClientError, compile_remote
+    from ..serve.report import CompilationReport
+    from ..serve.server import CompileServer
 
     document = to_json(art.graph)
     options = {

@@ -29,6 +29,7 @@ from ..lifetimes.periodic import DEFAULT_OCCURRENCE_CAP
 from ..scheduling.pipeline import ImplementationResult, implement
 from ..allocation.optimal import optimal_allocation
 from ..allocation.verify import verify_allocation
+from ..codegen.batched_vm import BatchedVM
 from ..codegen.py_emitter import compile_python
 from ..codegen.vm import SharedMemoryVM
 from .reference import (
@@ -730,7 +731,6 @@ def vectorize_oracles(
     and report the same pool high-water mark over two periods.
     """
     from ..allocation.first_fit import first_fit
-    from ..codegen.batched_vm import BatchedVM
     from ..lifetimes.intervals import extract_lifetimes
     from ..scheduling.vectorize import vectorize_schedule
 

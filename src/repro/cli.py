@@ -398,7 +398,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
     import threading
 
-    from .serve import ArtifactCache, CompileServer
+    from .serve.cache import ArtifactCache
+    from .serve.server import CompileServer
 
     if args.workers < 1:
         raise SystemExit(
@@ -532,7 +533,7 @@ def _cmd_resize(args: argparse.Namespace) -> int:
 
 def _cmd_cache(args: argparse.Namespace) -> int:
     """Inspect or maintain the on-disk artifact cache."""
-    from .serve import ArtifactCache
+    from .serve.cache import ArtifactCache
 
     cache = ArtifactCache(args.cache_dir)
     if args.cache_command == "stats":

@@ -2,11 +2,12 @@
 
 The kernel binary is a pure function of ``(C source, compiler
 identity, cflags, ABI version)``, so it is content-addressed in the
-same :class:`~repro.serve.cache.ArtifactCache` that stores compilation
-reports — under the cache root's ``kernels/`` area, digest-verified on
-every load, with corrupt binaries evicted and rebuilt.  A farm's
-worker processes (and every CI run with a warm cache) therefore share
-one ``cc`` invocation.
+leaf :class:`repro.store.Store` — the same cache root that holds the
+service's compilation reports, under its ``kernels/`` area,
+digest-verified on every load, with corrupt binaries evicted and
+rebuilt.  A farm's worker processes (and every CI run with a warm
+cache) therefore share one ``cc`` invocation, and building or loading
+the kernel never imports the service stack.
 
 Everything here degrades silently: no compiler on ``PATH``,
 ``REPRO_NATIVE=0``, a failed compile, or an unloadable binary all mean
@@ -25,6 +26,7 @@ import subprocess
 import tempfile
 from typing import Optional
 
+from ..store import Store
 from .source import KERNEL_ABI_VERSION, KERNEL_SOURCE
 
 __all__ = [
@@ -97,21 +99,16 @@ def kernel_key(cc: str) -> str:
 def build_kernel(cache_root: Optional[str] = None, recorder=None) -> str:
     """Return the path of the compiled kernel ``.so``, building if needed.
 
-    Checks the artifact cache's kernel area first (digest-verified; a
-    corrupt binary is evicted and rebuilt), then compiles into a
-    temporary directory and installs the result atomically.  Raises
+    Checks the store's kernel area first (digest-verified; a corrupt
+    binary is evicted and rebuilt), then compiles into a temporary
+    directory and installs the result atomically.  Raises
     ``RuntimeError`` when no compiler is available or the compile
     fails — callers treat that as "fall back to Python".
     """
-    # Imported lazily: repro.serve imports the scheduling pipeline,
-    # which dispatches into this package — a module-level import here
-    # would close that cycle at import time.
-    from ..serve.cache import ArtifactCache
-
     cc = find_compiler()
     if cc is None:
         raise RuntimeError("no C compiler (cc) found on PATH")
-    cache = ArtifactCache(cache_root)
+    cache = Store(cache_root)
     key = kernel_key(cc)
     path = cache.get_kernel(key)
     if path is not None:

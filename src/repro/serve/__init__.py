@@ -6,11 +6,11 @@ same :func:`~repro.scheduling.pipeline.implement` machinery into a
 long-running, cache-fronted service:
 
 :mod:`repro.serve.cache`
-    :class:`ArtifactCache` — a content-addressed on-disk store of
-    :class:`CompilationReport` payloads, keyed by
-    :func:`~repro.serve.cache.cache_key` (SHA-256 of the canonical
-    graph document + strategy options + package version).  Atomic
-    writes, hash-verified reads, corrupt entries evicted and
+    :class:`ArtifactCache` — the report kind of the leaf
+    :class:`repro.store.Store`: :class:`CompilationReport` payloads
+    keyed by :func:`~repro.serve.cache.cache_key` (SHA-256 of the
+    canonical graph document + strategy options + package version).
+    Atomic writes, hash-verified reads, corrupt entries evicted and
     recomputed rather than served.  ``repro cache {stats,gc,clear}``.
 
 :mod:`repro.serve.report`
@@ -53,53 +53,12 @@ Quickstart::
     $ repro submit cddat                 # warm: served from cache,
                                          # bit-identical, >=10x faster
 
+The package re-exports nothing: import each name from the submodule
+that defines it, so that loading one part (say, the cache for
+``repro cache``) never drags in the HTTP server, the client or the
+farm's ``multiprocessing``.
+
 The cache can be disabled end to end (``repro serve --no-cache``,
 ``repro submit --no-cache``, ``CompileServer(cache=None)``), in which
 case the service's outputs are bit-identical to the direct pipeline.
 """
-
-from .cache import ArtifactCache, cache_key, default_cache_dir
-from .client import (
-    DEFAULT_URL,
-    BatchItemError,
-    ServeClientError,
-    compile_batch_remote,
-    compile_remote,
-    get_json,
-    resize_remote,
-)
-from .farm import (
-    FarmError,
-    FarmRequestError,
-    FarmTimeout,
-    FarmWorkerCrashed,
-    WorkerFarm,
-    rendezvous_shard,
-)
-from .report import CompilationReport
-from .server import DEFAULT_PORT, CompileServer
-from .service import CompileOptions, CompileService
-
-__all__ = [
-    "ArtifactCache",
-    "cache_key",
-    "default_cache_dir",
-    "BatchItemError",
-    "CompilationReport",
-    "CompileOptions",
-    "CompileService",
-    "CompileServer",
-    "DEFAULT_PORT",
-    "DEFAULT_URL",
-    "FarmError",
-    "FarmRequestError",
-    "FarmTimeout",
-    "FarmWorkerCrashed",
-    "ServeClientError",
-    "WorkerFarm",
-    "compile_remote",
-    "compile_batch_remote",
-    "get_json",
-    "rendezvous_shard",
-    "resize_remote",
-]

@@ -232,6 +232,20 @@ class _Worker:
             "memory_entries": 0 if mem is None else len(mem),
         }
 
+    def _failure(self, exc: Exception) -> Tuple[int, str]:
+        """Count a failed compile; return its HTTP-equivalent code and error.
+
+        Bad input (``ValueError``/``KeyError``/``TypeError``, or an
+        ``SDFError`` from the graph layer) is a 400, anything else 500.
+        """
+        from ..exceptions import SDFError
+
+        self.counters.count("farm.errors")
+        self.counters.count("farm.requests")
+        bad_input = (ValueError, KeyError, TypeError, SDFError)
+        code = 400 if isinstance(exc, bad_input) else 500
+        return code, f"bad request: {exc}"
+
     def _compile(
         self, rid: int, key: str, request: Optional[Dict[str, Any]],
         trace: bool,
@@ -242,17 +256,7 @@ class _Worker:
         try:
             reply = self._compile_inner(key, request, recorder)
         except Exception as exc:
-            self.counters.count("farm.errors")
-            code = 500
-            if isinstance(exc, (ValueError, KeyError, TypeError)):
-                code = 400
-            else:
-                from ..exceptions import SDFError
-
-                if isinstance(exc, SDFError):
-                    code = 400
-            self.counters.count("farm.requests")
-            self.conn.send(("err", rid, code, f"bad request: {exc}"))
+            self.conn.send(("err", rid, *self._failure(exc)))
             return
         if reply is None:  # tiers missed and we only have the key
             self.conn.send(("need", rid))  # not terminal: not counted
@@ -284,17 +288,7 @@ class _Worker:
             try:
                 reply = self._compile_inner(key, request, recorder)
             except Exception as exc:
-                self.counters.count("farm.errors")
-                code = 500
-                if isinstance(exc, (ValueError, KeyError, TypeError)):
-                    code = 400
-                else:
-                    from ..exceptions import SDFError
-
-                    if isinstance(exc, SDFError):
-                        code = 400
-                self.counters.count("farm.requests")
-                results.append(("err", code, f"bad request: {exc}"))
+                results.append(("err", *self._failure(exc)))
                 trees.append(None)
                 continue
             if reply is None:  # tiers missed on a key-only item

@@ -73,9 +73,11 @@ Endpoints
     ``{"workers": N}`` → the post-resize farm description.
 
 Error responses are ``{"error": "..."}`` with status 400 (malformed
-request or ``Content-Length``), 404 (unknown path), 429 (queue full),
-503 (draining or worker crash), 504 (timeout), or 500 (unexpected
-failure).
+request or ``Content-Length``), 404 (unknown path), 411 (a POST with
+no ``Content-Length`` or with a ``Transfer-Encoding``), 413 (declared
+body over ``_MAX_BODY_BYTES``), 429 (queue full), 503 (draining or
+worker crash), 504 (timeout), or 500 (unexpected failure).  Framing
+errors (400/411/413) close the connection without reading the body.
 """
 
 from __future__ import annotations
@@ -115,6 +117,11 @@ _POLL_INTERVAL_S = 0.05
 #: result (its error paths run under ``finally``), so this bound only
 #: matters if the leader thread is destroyed mid-request.
 _SINGLE_FLIGHT_CAP_S = 600.0
+
+#: Largest request body accepted; a larger declared ``Content-Length``
+#: gets a 413 before any of the body is read (``rfile.read(n)``
+#: allocates ``n`` bytes up front).
+_MAX_BODY_BYTES = 64 << 20
 
 #: Body-memo limits: requests larger than this, or beyond this many
 #: distinct bodies, are parsed every time instead of cached.
@@ -306,19 +313,34 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path not in ("/compile", "/batch", "/resize"):
             self._reply(404, {"error": f"unknown path {self.path!r}"})
             return
+        declared = self.headers.get("Content-Length")
+        if declared is None or self.headers.get("Transfer-Encoding"):
+            self._refuse(411, "POST needs a Content-Length header and no "
+                              "Transfer-Encoding")
+            return
         try:
-            length = int(self.headers.get("Content-Length", "0"))
+            length = int(declared)
         except ValueError:
             length = -1
         if length < 0:
-            # The body's extent is unknown, so the connection cannot
-            # be reused: answer and close rather than read to EOF.
-            self.close_connection = True
-            self._reply(400, {"error": "malformed Content-Length header"})
+            self._refuse(400, "malformed Content-Length header")
+            return
+        if length > _MAX_BODY_BYTES:
+            self._refuse(413, f"request body of {length} bytes exceeds "
+                              f"the {_MAX_BODY_BYTES}-byte limit")
             return
         raw = self.rfile.read(length) if length else b""
         code, body, headers = owner.handle_raw(self.path, raw)
         self._reply_bytes(code, body, headers)
+
+    def _refuse(self, code: int, error: str) -> None:
+        """Reply ``code`` without reading the body, then close.
+
+        The body is unread (or its extent unknown), so the connection
+        cannot be reused for another request.
+        """
+        self.close_connection = True
+        self._reply(code, {"error": error})
 
 
 class _Server(ThreadingHTTPServer):

@@ -14,24 +14,20 @@ from repro.apps.ptolemy_demos import cd_to_dat
 from repro.scheduling.pipeline import implement
 from repro.sdf.graph import SDFGraph
 from repro.sdf.io import canonical_hash, to_json
-from repro.serve import (
-    ArtifactCache,
-    CompilationReport,
-    CompileServer,
-    CompileService,
-    ServeClientError,
-    WorkerFarm,
-    cache_key,
-    rendezvous_shard,
-)
 from repro.serve import client as serve_client
+from repro.serve.cache import ArtifactCache, cache_key
 from repro.serve.client import (
     BatchItemError,
+    ServeClientError,
     compile_batch_remote,
     compile_remote,
     get_json,
     resize_remote,
 )
+from repro.serve.farm import WorkerFarm, rendezvous_shard
+from repro.serve.report import CompilationReport
+from repro.serve.server import CompileServer
+from repro.serve.service import CompileService
 
 
 def small_graph(name="farm_sample"):

@@ -221,7 +221,7 @@ class TestCacheCLI:
         assert str(tmp_path) in out
 
     def test_gc_and_clear(self, tmp_path, capsys):
-        from repro.serve import ArtifactCache
+        from repro.serve.cache import ArtifactCache
         from repro.sdf.io import to_json
         from repro.serve.service import CompileService
 

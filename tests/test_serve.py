@@ -14,15 +14,9 @@ from repro.check.oracles import build_artifacts
 from repro.scheduling.pipeline import implement
 from repro.sdf.graph import SDFGraph
 from repro.sdf.io import to_json
-from repro.serve import (
-    ArtifactCache,
-    CompilationReport,
-    CompileOptions,
-    CompileServer,
-    CompileService,
-    cache_key,
-)
 from repro.serve import client as serve_client
+from repro.serve import server as server_module
+from repro.serve.cache import ArtifactCache, cache_key
 from repro.serve.client import (
     BatchItemError,
     ServeClientError,
@@ -30,6 +24,9 @@ from repro.serve.client import (
     compile_remote,
     get_json,
 )
+from repro.serve.report import CompilationReport
+from repro.serve.server import CompileServer
+from repro.serve.service import CompileOptions, CompileService
 
 import random
 
@@ -313,6 +310,37 @@ class TestCompileServer:
         assert b"\n" not in body
         assert "Content-Length" in json.loads(body)["error"]
 
+    def test_oversized_content_length_413(self, live_server):
+        # The declared length used to be read (and allocated) up
+        # front, so a tiny body behind a huge length hung the handler.
+        length = str(server_module._MAX_BODY_BYTES + 1).encode()
+        reply = raw_post(
+            live_server,
+            b"POST /compile HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Length: " + length + b"\r\n\r\n{}",
+        )
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 413 ")
+        assert b"Connection: close" in head.split(b"\r\n")
+        assert b"\n" not in body
+        assert "limit" in json.loads(body)["error"]
+
+    def test_chunked_post_411(self, live_server):
+        # Without a Content-Length the body used to be taken as empty
+        # and its chunks parsed as the next request: two responses.
+        reply = raw_post(
+            live_server,
+            b"POST /compile HTTP/1.1\r\nHost: localhost\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            b"2\r\n{}\r\n0\r\n\r\n",
+        )
+        assert reply.count(b"HTTP/1.1 ") == 1
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 411 ")
+        assert b"Connection: close" in head.split(b"\r\n")
+        assert b"\n" not in body
+        assert "Content-Length" in json.loads(body)["error"]
+
     def test_backpressure_429(self):
         server = CompileServer(
             port=0, queue_limit=1, allow_faults=True, quiet=True,
@@ -459,3 +487,32 @@ class TestImportFootprint:
         )
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == "False"
+
+    def test_cli_compile_loads_no_service_stack(self):
+        # ``repro compile`` is a one-shot tool: neither numpy (only the
+        # batched VM needs it) nor the service stack (HTTP server,
+        # client, farm) may be imported on its path.
+        import subprocess
+        import sys
+
+        code = (
+            "import contextlib, io, sys\n"
+            "import repro.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert repro.cli.main(['compile', 'satrec']) == 0\n"
+            "heavy = ('numpy', 'repro.serve', 'http.server',\n"
+            "         'urllib.request', 'ssl', 'multiprocessing')\n"
+            "print(sorted(m for m in sys.modules if any(\n"
+            "    m == h or m.startswith(h + '.') for h in heavy)))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"
