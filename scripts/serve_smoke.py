@@ -12,6 +12,11 @@ serve-smoke``) and in CI, in two phases:
    response is a cache *miss*, the second a *hit*, and that the two
    reports are bit-identical (canonical-form comparison);
 4. assert ``/stats`` agrees (1 hit, 1 miss, 0 rejected);
+4b. hostile input: a deeply nested JSON body, a ``/resize`` above
+    the farm cap, a chunked POST, an oversized ``Content-Length`` and
+    a garbage request line each get a well-formed HTTP status line
+    (400, 400, 411, 413, 400) within ``HOSTILE_TIMEOUT_S``, and
+    ``/healthz`` stays 200 after every one;
 5. send SIGTERM; assert the server drains cleanly (exit code 0) and
    leaves the trace artifact behind (``serve_trace.json`` by
    default — CI uploads it).
@@ -48,7 +53,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -68,6 +75,7 @@ from repro.serve.client import (  # noqa: E402
     get_json,
     resize_remote,
 )
+from repro.serve.farm import MAX_WORKERS  # noqa: E402
 
 
 def fail(message: str) -> "NoReturn":  # noqa: F821 (py3.10 typing)
@@ -120,6 +128,72 @@ def submit_twice(url):
     return second
 
 
+#: Longest any hostile request may wait for its status line.
+HOSTILE_TIMEOUT_S = 10.0
+
+_STATUS_LINE = re.compile(rb"HTTP/1\.[01] (\d{3}) [^\r\n]*\r\n")
+
+
+def _post_head(path, length, extra=b""):
+    return (b"POST " + path + b" HTTP/1.1\r\nHost: localhost\r\n"
+            b"Connection: close\r\n" + extra
+            + b"Content-Length: %d\r\n\r\n" % length)
+
+
+def hostile_requests():
+    """(name, raw bytes, expected status) for the hostile-input step."""
+    nested = b"[" * 200000
+    resize = b'{"workers": %d}' % (MAX_WORKERS + 1)
+    return [
+        ("nested JSON body", _post_head(b"/compile", len(nested)) + nested,
+         400),
+        ("resize above the cap", _post_head(b"/resize", len(resize)) + resize,
+         400),
+        ("chunked POST",
+         b"POST /compile HTTP/1.1\r\nHost: localhost\r\n"
+         b"Transfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n", 411),
+        ("oversized Content-Length", _post_head(b"/batch", 1 << 40) + b"{}",
+         413),
+        ("garbage request line", b"\x16\x03\x01\xff\xfe garbage\r\n\r\n",
+         400),
+    ]
+
+
+def raw_exchange(url, data):
+    """Send ``data`` on a fresh connection; return the reply's first
+    bytes (enough for the status line), read within the time limit."""
+    host, port = url.rsplit("/", 1)[-1].rsplit(":", 1)
+    with socket.create_connection((host, int(port)),
+                                  timeout=HOSTILE_TIMEOUT_S) as sock:
+        sock.sendall(data)
+        reply = b""
+        while b"\r\n" not in reply:
+            chunk = sock.recv(4096)
+            if not chunk:
+                break
+            reply += chunk
+    return reply
+
+
+def hostile_steps(url) -> None:
+    """Step 4b: every hostile request gets a status line; still healthy."""
+    for name, data, expected in hostile_requests():
+        try:
+            reply = raw_exchange(url, data)
+        except OSError as exc:
+            fail(f"{name}: no reply within {HOSTILE_TIMEOUT_S}s ({exc})")
+        match = _STATUS_LINE.match(reply)
+        if match is None:
+            fail(f"{name}: reply has no HTTP status line: {reply[:80]!r}")
+        if int(match.group(1)) != expected:
+            fail(f"{name}: expected {expected}, got {match.group(0)!r}")
+        health = raw_exchange(
+            url, b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n"
+                 b"Connection: close\r\n\r\n")
+        if not health.startswith(b"HTTP/1.1 200 "):
+            fail(f"/healthz not 200 after {name}: {health[:80]!r}")
+
+
 def terminate_cleanly(proc, trace, timeout):
     """SIGTERM; assert exit 0, a clean-drain message, and the trace."""
     proc.send_signal(signal.SIGTERM)
@@ -142,13 +216,15 @@ def default_phase(args, env) -> None:
             if (server_stats.get("hits"), server_stats.get("misses"),
                     server_stats.get("rejected")) != (1, 1, 0):
                 fail(f"unexpected /stats counters: {server_stats}")
+            hostile_steps(url)
             terminate_cleanly(proc, args.trace, args.timeout)
         finally:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
     print("serve-smoke: default-server phase OK "
-          f"(cold miss -> warm hit, bit-identical; trace at {args.trace})")
+          "(cold miss -> warm hit, bit-identical; hostile input answered, "
+          f"healthz 200 throughout; trace at {args.trace})")
 
 
 def batch_docs():

@@ -20,6 +20,8 @@ See ``examples/`` for complete scenarios and ``DESIGN.md`` for the
 module map.
 """
 
+import importlib
+
 from .exceptions import (
     AllocationError,
     CodegenError,
@@ -28,41 +30,44 @@ from .exceptions import (
     ScheduleError,
     SDFError,
 )
-from .sdf import (
-    Actor,
-    Edge,
-    Firing,
-    Loop,
-    LoopedSchedule,
-    SDFGraph,
-    bmlb,
-    buffer_memory_nonshared,
-    flat_single_appearance_schedule,
-    is_consistent,
-    is_valid_schedule,
-    max_tokens,
-    parse_schedule,
-    repetitions_vector,
-    validate_schedule,
-)
-from .scheduling import (
-    apgan,
-    chain_sdppo,
-    dppo,
-    implement,
-    implement_best,
-    rpmc,
-    sdppo,
-)
-from .lifetimes import PeriodicLifetime, ScheduleTree, extract_lifetimes
-from .allocation import (
-    ffdur,
-    ffstart,
-    first_fit,
-    mcw_optimistic,
-    mcw_pessimistic,
-    verify_allocation,
-)
+
+#: Compiler names re-exported here, by the subpackage that defines
+#: them.  They resolve on first access (PEP 562 ``__getattr__``), so a
+#: command that never compiles (``repro cache``, ``repro resize``)
+#: does not pay for importing the compiler.
+_EXPORTS = {
+    "sdf": (
+        "Actor", "Edge", "Firing", "Loop", "LoopedSchedule", "SDFGraph",
+        "bmlb", "buffer_memory_nonshared",
+        "flat_single_appearance_schedule", "is_consistent",
+        "is_valid_schedule", "max_tokens", "parse_schedule",
+        "repetitions_vector", "validate_schedule",
+    ),
+    "scheduling": (
+        "apgan", "chain_sdppo", "dppo", "implement", "implement_best",
+        "rpmc", "sdppo",
+    ),
+    "lifetimes": ("PeriodicLifetime", "ScheduleTree", "extract_lifetimes"),
+    "allocation": (
+        "ffdur", "ffstart", "first_fit", "mcw_optimistic",
+        "mcw_pessimistic", "verify_allocation",
+    ),
+}
+_HOME = {name: pkg for pkg, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    pkg = _HOME.get(name)
+    if pkg is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{pkg}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))
+
 
 __version__ = "1.0.0"
 

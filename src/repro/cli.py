@@ -51,12 +51,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from .apps import TABLE1_SYSTEMS, table1_graph
-from .exceptions import GraphStructureError
-from .sdf.graph import SDFGraph
-from .sdf.io import load_graph, to_dot
+if TYPE_CHECKING:
+    from .sdf.graph import SDFGraph
 
 __all__ = ["main"]
 
@@ -96,6 +94,10 @@ def _extra_systems():
 
 
 def _resolve_graph(spec: str) -> SDFGraph:
+    from .apps import TABLE1_SYSTEMS, table1_graph
+    from .exceptions import GraphStructureError
+    from .sdf.io import load_graph
+
     if spec in TABLE1_SYSTEMS:
         return table1_graph(spec)
     extra = _extra_systems()
@@ -120,6 +122,8 @@ def _resolve_graph(spec: str) -> SDFGraph:
 
 
 def _cmd_systems(_: argparse.Namespace) -> int:
+    from .apps import TABLE1_SYSTEMS, table1_graph
+
     for name in TABLE1_SYSTEMS:
         graph = table1_graph(name)
         print(f"{name:>12}  {graph.num_actors:>4} actors "
@@ -252,6 +256,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    from .apps import TABLE1_SYSTEMS
     from .experiments.table1 import format_table1, run_table1
 
     jobs = _apply_jobs(args)
@@ -263,6 +268,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig25(args: argparse.Namespace) -> int:
+    from .apps import TABLE1_SYSTEMS
     from .experiments.fig25 import format_fig25, run_fig25
 
     systems = args.systems or [
@@ -376,6 +382,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_dot(args: argparse.Namespace) -> int:
+    from .sdf.io import to_dot
+
     sys.stdout.write(to_dot(_resolve_graph(args.graph)))
     return 0
 
@@ -399,11 +407,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import threading
 
     from .serve.cache import ArtifactCache
+    from .serve.farm import MAX_WORKERS
     from .serve.server import CompileServer
 
-    if args.workers < 1:
+    if not 1 <= args.workers <= MAX_WORKERS:
         raise SystemExit(
-            f"--workers: farm size must be >= 1, got {args.workers}"
+            f"--workers: farm size must be between 1 and {MAX_WORKERS}, "
+            f"got {args.workers}"
         )
     cache = None if args.no_cache else ArtifactCache(args.cache_dir)
     server = CompileServer(
@@ -411,7 +421,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         workers=args.workers,
-        shard_by=args.shard_by,
         queue_limit=args.queue_limit,
         request_timeout=args.timeout,
         trace_path=args.trace,
@@ -430,7 +439,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(
         f"serving on {server.url} "
         f"(cache: {'disabled' if cache is None else cache.root}, "
-        f"farm {server.farm.size} x {args.shard_by}, "
+        f"farm of {server.farm.size}, "
         f"queue limit {server.queue_limit})",
         flush=True,
     )
@@ -787,13 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers", type=int, default=1, metavar="N",
         help="compile-farm worker processes serving /compile and "
-             "/batch, sharded by graph digest (at least 1)",
-    )
-    p.add_argument(
-        "--shard-by", default="digest", choices=["digest", "key"],
-        help="farm routing: 'digest' keeps every variant of one graph "
-             "on one worker (hot sessions), 'key' spreads per-option "
-             "variants across the pool",
+             "/batch, sharded by graph digest (1 to 64)",
     )
     p.add_argument(
         "--queue-limit", type=int, default=8, metavar="N",

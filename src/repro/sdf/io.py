@@ -88,7 +88,7 @@ def from_json(document: Dict[str, Any]) -> SDFGraph:
                 int(edge.get("token_size", 1)),
                 broadcast=str(broadcast) if broadcast is not None else None,
             )
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise GraphStructureError(
             f"malformed SDF graph document: {exc!r}"
         ) from exc

@@ -21,8 +21,8 @@ long-running, cache-fronted service:
 
 :mod:`repro.serve.service`
     :class:`CompileService` — transport-independent cache-then-compile
-    core with a per-graph :class:`CompilationSession` LRU and an
-    optional in-memory report tier; every farm worker owns one.
+    core with a per-graph :class:`CompilationSession` LRU; every farm
+    worker owns one, behind the worker's in-memory tier.
 
 :mod:`repro.serve.farm`
     :class:`WorkerFarm` — a supervised pool of compile worker
@@ -56,9 +56,15 @@ Quickstart::
 The package re-exports nothing: import each name from the submodule
 that defines it, so that loading one part (say, the cache for
 ``repro cache``) never drags in the HTTP server, the client or the
-farm's ``multiprocessing``.
+farm's ``multiprocessing``.  Its one name, :data:`DEFAULT_PORT`, is
+shared by the server and the client without either importing the
+other.
 
 The cache can be disabled end to end (``repro serve --no-cache``,
 ``repro submit --no-cache``, ``CompileServer(cache=None)``), in which
 case the service's outputs are bit-identical to the direct pipeline.
 """
+
+#: The port ``repro serve`` binds and ``repro submit``/``resize`` dial
+#: by default.
+DEFAULT_PORT = 8177

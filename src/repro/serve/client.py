@@ -29,7 +29,7 @@ import urllib.request
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .report import CompilationReport
-from .server import DEFAULT_PORT
+from . import DEFAULT_PORT
 
 __all__ = [
     "DEFAULT_URL",

@@ -7,18 +7,19 @@ killed, and the pool scales past one GIL while keeping every
 cache-locality property the session design bought:
 
 * **Sharding** — each request is routed by :func:`rendezvous_shard`
-  over the graph's content digest (``--shard-by digest``, the default)
-  or the full cache key (``--shard-by key``).  Rendezvous (highest
-  random weight) hashing is a pure function of ``(digest, slot,
-  pool size)``: the same digest lands on the same worker across
-  server restarts, so each worker's per-graph
+  over the graph's content digest.  Rendezvous (highest random
+  weight) hashing is a pure function of ``(digest, slot, pool
+  size)``: the same digest lands on the same worker across server
+  restarts, so each worker's per-graph
   :class:`~repro.scheduling.session.CompilationSession` LRU and
   in-memory artifact tier stay hot, and no shard map needs storing.
-* **Tiered cache** — a worker answers from its in-memory report tier
-  (:class:`~repro.serve.service.CompileService` ``memory_entries``),
+* **Tiered cache** — a worker answers from its in-memory tier (an
+  LRU of rendered hit bodies, :data:`MEMORY_ENTRIES` per worker),
   then the shared on-disk :class:`~repro.serve.cache.ArtifactCache`,
-  and only then compiles.  Every tier returns bit-identical
-  ``canonical()`` reports; the benchmark asserts it per round.
+  and only then compiles.  A disk hit and a compile both fill the
+  memory tier, so the next request for the key is a memory hit.
+  Every tier returns bit-identical ``canonical()`` reports; the
+  benchmark asserts it per round.
 * **Supervision** — each worker is watched both *in-band* (a pipe
   that dies mid-request fails that request with a one-line 503 and
   respawns the worker on the spot) and by a background supervisor
@@ -27,17 +28,18 @@ cache-locality property the session design bought:
   traffic).  A worker that outlives a request deadline is killed and
   respawned — a hung compile cannot wedge its shard forever.
 * **Live resizing** — :meth:`WorkerFarm.resize` grows or shrinks the
-  pool while it serves traffic.  Growing spawns supervised workers
-  for the new slots; shrinking *drains* the removed slots (each
-  retired worker finishes its in-flight request, ships its final
-  counters, and is shut down — never killed mid-compile).  Because
-  rendezvous hashing is a pure function of ``(digest, size)``, only
-  ~1/N of the key space changes owner either way.  Retired workers'
-  counters, request tallies, and restart counts are folded into
-  :attr:`WorkerFarm.retired` so ``/stats`` totals survive the resize.
-  A request routed before a shrink that arrives at a retired slot is
-  transparently re-routed to a live worker (results are bit-identical
-  on every worker, so only cache locality is briefly affected).
+  pool (up to :data:`MAX_WORKERS`) while it serves traffic.  Growing
+  spawns supervised workers for the new slots; shrinking *drains* the
+  removed slots (each retired worker finishes its in-flight request,
+  ships its final counters, and is shut down — never killed
+  mid-compile).  Because rendezvous hashing is a pure function of
+  ``(digest, size)``, only ~1/N of the key space changes owner either
+  way.  Retired workers' counters, request tallies, and restart
+  counts are folded into :attr:`WorkerFarm.retired` so ``/stats``
+  totals survive the resize.  A request routed before a shrink that
+  arrives at a retired slot is transparently re-routed to a live
+  worker (results are bit-identical on every worker, so only cache
+  locality is briefly affected).
 
 Wire protocol (pickled tuples over a ``multiprocessing.Pipe``, one
 request in flight per worker, serialized by a per-worker lock):
@@ -45,28 +47,25 @@ request in flight per worker, serialized by a per-worker lock):
 ====================================  ===================================
 parent -> worker                      worker -> parent
 ====================================  ===================================
-``("compile", rid, key, req|None,     ``("ok", rid, status, tier, body,
-trace)``                              tree|None)`` |
-                                      ``("need", rid)`` (send full
-                                      request: both memory and disk
-                                      tiers missed, the worker needs
-                                      the document to compile) |
-                                      ``("err", rid, http_code, msg)``
-``("compile_many", rid,               ``("ok_many", rid, results,
-[(key, req|None), ...], trace)``      trees)`` — one ``("ok", status,
-                                      tier, body)`` / ``("err", code,
-                                      msg)`` / ``("need",)`` entry per
-                                      item, order preserved; needed
-                                      items are re-sent with full
-                                      documents in a second frame
+``("compile", rid, [(key, req|None),  ``("compiled", rid, [entry, ...])``
+...], trace)``                        — one entry per item, in order:
+                                      ``("ok", status, tier, body,
+                                      tree|None)`` |
+                                      ``("err", http_code, msg)`` |
+                                      ``("need",)`` (both tiers missed
+                                      a key-only item: re-send it with
+                                      its document)
 ``("stats", rid)``                    ``("stats", rid, payload)``
 ``("ping", rid)``                     ``("pong", rid)``
 ``("shutdown",)``                     (worker exits)
 ====================================  ===================================
 
-The key-only first frame is the warm hot path: the front end memoizes
-``raw body -> (key, shard)`` so a repeated request costs one SHA-256
-and one small pipe round trip — no JSON parse, no document pickling.
+``/compile`` sends one item, ``/batch`` one item per member of a shard
+group.  The first frame carries keys only for cache-enabled items: the
+warm hot path, where the front end memoizes ``raw body -> (key,
+shard)`` so a repeated request costs one SHA-256 and one small pipe
+round trip — no JSON parse, no document pickling.  Items answered
+``("need",)`` go out again, with their documents, in a second frame.
 
 Fault injection (``allow_faults=True``, never set by the CLI) honors a
 top-level ``"fault"`` request field: ``"worker_crash"`` makes the
@@ -96,6 +95,15 @@ __all__ = [
     "WorkerFarm",
     "rendezvous_shard",
 ]
+
+
+#: Largest farm :class:`WorkerFarm` will run.  ``POST /resize`` takes a
+#: size from any client, and each slot is an OS process, so the bound
+#: is checked before anything is spawned.
+MAX_WORKERS = 64
+
+#: Capacity of each worker's in-memory tier (rendered hit bodies).
+MEMORY_ENTRIES = 512
 
 
 def rendezvous_shard(digest: str, size: int) -> int:
@@ -190,15 +198,13 @@ class _Worker:
         self.conn = conn
         self.allow_faults = bool(config.get("allow_faults"))
         cache_root = config.get("cache_root")
-        self.mem_entries = int(config.get("mem_entries", 512))
         self.service = CompileService(
             cache=ArtifactCache(cache_root) if cache_root else None,
             max_sessions=int(config.get("max_sessions", 32)),
-            memory_entries=self.mem_entries,
         )
-        #: Rendered warm-hit response bodies by cache key: the memory
-        #: tier's render memo.  A repeat hit skips report rebuild and
-        #: JSON encode entirely and ships the stored bytes.
+        #: The memory tier: rendered hit response bodies by cache key,
+        #: at most :data:`MEMORY_ENTRIES`.  A repeat hit skips report
+        #: rebuild and JSON encode entirely and ships the stored bytes.
         self._bodies: "OrderedDict[str, bytes]" = OrderedDict()
         #: Long-lived counters-only recorder; totals ship with "stats".
         self.counters = obs.TraceRecorder()
@@ -218,122 +224,88 @@ class _Worker:
                 self.conn.send(("stats", msg[1], self._stats()))
             elif kind == "compile":
                 self._compile(*msg[1:])
-            elif kind == "compile_many":
-                self._compile_many(*msg[1:])
             else:  # unknown frame: protocol bug, fail loudly
                 self.conn.send(("err", msg[1], 500, f"unknown frame {kind!r}"))
 
     def _stats(self) -> Dict[str, Any]:
-        mem = self.service._memory
         return {
             "pid": os.getpid(),
             "counters": self.counters.counter_totals(),
             "sessions": len(self.service._sessions),
-            "memory_entries": 0 if mem is None else len(mem),
+            "memory_entries": len(self._bodies),
         }
 
     def _failure(self, exc: Exception) -> Tuple[int, str]:
         """Count a failed compile; return its HTTP-equivalent code and error.
 
-        Bad input (``ValueError``/``KeyError``/``TypeError``, or an
-        ``SDFError`` from the graph layer) is a 400, anything else 500.
+        Bad input (``ValueError``/``KeyError``/``TypeError``, an
+        ``SDFError`` from the graph layer, or a ``RecursionError`` from
+        hashing a deeply nested document) is a 400, anything else 500.
         """
         from ..exceptions import SDFError
 
         self.counters.count("farm.errors")
         self.counters.count("farm.requests")
-        bad_input = (ValueError, KeyError, TypeError, SDFError)
+        bad_input = (ValueError, KeyError, TypeError, SDFError, RecursionError)
         code = 400 if isinstance(exc, bad_input) else 500
         return code, f"bad request: {exc}"
 
     def _compile(
-        self, rid: int, key: str, request: Optional[Dict[str, Any]],
-        trace: bool,
-    ) -> None:
-        from .. import obs
-
-        recorder = obs.TraceRecorder() if trace else None
-        try:
-            reply = self._compile_inner(key, request, recorder)
-        except Exception as exc:
-            self.conn.send(("err", rid, *self._failure(exc)))
-            return
-        if reply is None:  # tiers missed and we only have the key
-            self.conn.send(("need", rid))  # not terminal: not counted
-            return
-        status, tier, body = reply
-        self.counters.count("farm.requests")
-        tree = recorder.serialize() if recorder is not None else None
-        self.conn.send(("ok", rid, status, tier, body, tree))
-
-    def _compile_many(
         self, rid: int,
         items: List[Tuple[str, Optional[Dict[str, Any]]]],
         trace: bool,
     ) -> None:
-        """One shard group of a ``/batch`` in a single frame.
+        """One ``compile`` frame: every item in order, one reply.
 
-        Items run sequentially in request order against the same tiers
-        as single compiles (identical colds in one group compile once:
-        the first fills the memory tier, the rest hit it).  A bad item
-        becomes a per-item ``("err", ...)`` entry — it never poisons
-        the rest of the group.
+        Items run sequentially against the same tiers (identical colds
+        in one frame compile once: the first fills the memory tier,
+        the rest hit it).  A bad item becomes a per-item ``("err",
+        ...)`` entry — it never poisons the rest of the frame.
         """
         from .. import obs
 
         results: List[Tuple[Any, ...]] = []
-        trees: List[Optional[Dict[str, Any]]] = []
         for key, request in items:
             recorder = obs.TraceRecorder() if trace else None
             try:
                 reply = self._compile_inner(key, request, recorder)
             except Exception as exc:
                 results.append(("err", *self._failure(exc)))
-                trees.append(None)
                 continue
             if reply is None:  # tiers missed on a key-only item
                 results.append(("need",))  # not terminal: not counted
-                trees.append(None)
                 continue
-            status, tier, body = reply
             self.counters.count("farm.requests")
-            results.append(("ok", status, tier, body))
-            trees.append(
-                recorder.serialize() if recorder is not None else None
-            )
-        self.conn.send(("ok_many", rid, results, trees))
+            tree = recorder.serialize() if recorder is not None else None
+            results.append(("ok", *reply, tree))
+        self.conn.send(("compiled", rid, results))
 
     def _compile_inner(
         self, key: str, request: Optional[Dict[str, Any]], recorder
     ) -> Optional[Tuple[str, str, bytes]]:
-        from .service import CompileOptions
+        """One item through memory tier, disk tier, compile.
 
+        Returns ``(status, tier, body)``, or ``None`` when a key-only
+        item (``request is None``) missed both tiers and the worker
+        needs its document.
+        """
         start = time.perf_counter()
         if key and self.service.cache is not None:
             body = self._bodies.get(key)
             if body is not None:
                 self._bodies.move_to_end(key)
-                self.counters.count("farm.mem_hits")
-                if recorder is not None:
-                    recorder.count("farm.mem_hits")
+                self._count("farm.mem_hits", recorder)
                 return "hit", "memory", body
-            found = self.service.lookup(key, recorder=recorder)
-            if found is not None:
-                report, tier = found
-                self.counters.count(
-                    "farm.mem_hits" if tier == "memory" else "farm.disk_hits"
-                )
-                if recorder is not None:
-                    recorder.count(
-                        "farm.mem_hits" if tier == "memory"
-                        else "farm.disk_hits"
-                    )
-                report.wall_s = time.perf_counter() - start
-                return "hit", tier, self._remember(key, report)
             if request is None:
-                return None  # ask the front end for the document
-        if request is None:
-            return None
+                report = self.service.lookup(key, recorder=recorder)
+                if report is None:
+                    return None  # ask the front end for the document
+                self._count("farm.disk_hits", recorder)
+                report.wall_s = time.perf_counter() - start
+                return "hit", "disk", self._remember(key, report)
+        from .report import CompilationReport
+        from .service import CompileOptions
+
         fault = request.get("fault")
         if fault and self.allow_faults:
             if fault == "worker_crash":
@@ -347,20 +319,30 @@ class _Worker:
             use_cache=use_cache, recorder=recorder,
         )
         if status == "hit":
-            self.counters.count(
-                "farm.mem_hits" if tier == "memory" else "farm.disk_hits"
-            )
-        else:
-            self.counters.count("farm.compiles")
-            if recorder is not None:
-                recorder.count("farm.compiles")
-        return status, tier, self._render(status, report)
+            self._count("farm.disk_hits", recorder)
+            return status, tier, self._remember(key, report)
+        self._count("farm.compiles", recorder)
+        body = self._render(status, report)
+        if status == "miss":
+            # Fill the memory tier with the copy a disk hit would
+            # serve: the canonical payload, marked cached.
+            start = time.perf_counter()
+            copy = CompilationReport.from_json(json.loads(report.canonical()))
+            copy.cached = True
+            copy.wall_s = time.perf_counter() - start
+            self._remember(key, copy)
+        return status, tier, body
+
+    def _count(self, name: str, recorder) -> None:
+        self.counters.count(name)
+        if recorder is not None:
+            recorder.count(name)
 
     def _remember(self, key: str, report) -> bytes:
-        """Render a hit body and memoize the bytes for repeat hits."""
+        """Render a hit body and keep the bytes for repeat hits."""
         body = self._render("hit", report)
         self._bodies[key] = body
-        while len(self._bodies) > self.mem_entries:
+        while len(self._bodies) > MEMORY_ENTRIES:
             self._bodies.popitem(last=False)
         return body
 
@@ -392,6 +374,13 @@ class _WorkerHandle:
         self.retired = False
 
 
+def _check_size(size: int) -> None:
+    if not 1 <= size <= MAX_WORKERS:
+        raise ValueError(
+            f"farm size must be between 1 and {MAX_WORKERS}, got {size}"
+        )
+
+
 def _mp_context():
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
@@ -410,12 +399,8 @@ class WorkerFarm:
         Shared on-disk :class:`ArtifactCache` directory, or ``None``
         to run without the disk and memory tiers (every request
         compiles — bit-identical to the bare pipeline).
-    shard_by:
-        ``"digest"`` (graph content hash — one graph's sessions always
-        warm on one worker, whatever the options) or ``"key"`` (full
-        cache key — spreads per-option variants of one graph).
-    mem_entries:
-        Per-worker in-memory report tier capacity.
+    max_sessions:
+        Per-worker :class:`CompilationSession` LRU capacity.
     allow_faults:
         Honor test-only ``"fault"`` request fields (never set by the
         CLI; used by the fault-injection self-test and the tests).
@@ -428,25 +413,16 @@ class WorkerFarm:
         self,
         size: int,
         cache_root: Optional[str] = None,
-        shard_by: str = "digest",
-        mem_entries: int = 512,
         max_sessions: int = 32,
         allow_faults: bool = False,
         supervise_interval: float = 0.2,
     ) -> None:
-        if size < 1:
-            raise ValueError(f"farm size must be >= 1, got {size}")
-        if shard_by not in ("digest", "key"):
-            raise ValueError(
-                f"shard_by must be 'digest' or 'key', got {shard_by!r}"
-            )
+        _check_size(size)
         self.size = size
         self.cache_root = cache_root
-        self.shard_by = shard_by
         self.supervise_interval = supervise_interval
         self._config = {
             "cache_root": cache_root,
-            "mem_entries": mem_entries,
             "max_sessions": max_sessions,
             "allow_faults": allow_faults,
         }
@@ -565,8 +541,7 @@ class WorkerFarm:
         owner.  Returns ``{"previous": old, "size": new, "added": ...,
         "removed": ...}``.  Idempotent for ``new_size == size``.
         """
-        if new_size < 1:
-            raise ValueError(f"farm size must be >= 1, got {new_size}")
+        _check_size(new_size)
         with self._resize_lock:
             old_size = self.size
             if new_size == old_size:
@@ -682,7 +657,6 @@ class WorkerFarm:
             "size": self.size,
             "alive": self.alive_count(),
             "restarts": self.restarts_total(),
-            "shard_by": self.shard_by,
             "retired_workers": self.retired["workers"],
         }
 
@@ -723,17 +697,18 @@ class WorkerFarm:
         self,
         shard: int,
         key: str,
-        request: Optional[Dict[str, Any]],
+        request: Dict[str, Any],
         trace: bool = False,
         timeout: Optional[float] = None,
     ) -> FarmResponse:
         """Run one compile request on worker ``shard``.
 
-        ``key`` non-empty enables the tiers; ``request`` must carry the
-        full parsed request (the worker is sent the key alone first and
+        ``key`` non-empty enables the tiers; ``request`` is the full
+        parsed request (the worker is sent the key alone first and
         asks for the document only when both cache tiers miss).
 
-        Raises :class:`FarmWorkerCrashed` (one respawn already done)
+        Raises :class:`FarmRequestError` when the worker rejects the
+        request, :class:`FarmWorkerCrashed` (one respawn already done)
         when the worker dies mid-request, :class:`FarmTimeout` when it
         exceeds ``timeout`` seconds (the worker is killed and
         respawned — a hung shard heals), and :class:`FarmError` for
@@ -745,73 +720,48 @@ class WorkerFarm:
         produces bit-identical results, only cache locality is
         affected for the one request.
         """
-        deadline = (
-            None if timeout is None else time.monotonic() + timeout
-        )
-        handle = self._claim(shard, deadline, timeout)
-        try:
-            if handle.proc is None or not handle.proc.is_alive():
-                self._spawn(handle)
-            handle.requests += 1
-            rid = next(self._rid)
-            try:
-                frame = (
-                    ("compile", rid, key, None, trace)
-                    if key and request is not None
-                    else ("compile", rid, key, request, trace)
-                )
-                msg = self._recv(handle, rid, deadline, send=frame)
-                if msg[0] == "need":
-                    msg = self._recv(
-                        handle, rid, deadline,
-                        send=("compile", rid, key, request, trace),
-                    )
-            except (EOFError, OSError, BrokenPipeError, ValueError):
-                handle.failures += 1
-                if not handle.retired:
-                    self._spawn(handle)
-                raise FarmWorkerCrashed(
-                    f"compile worker {handle.slot} crashed mid-request; "
-                    f"respawned, retry the request"
-                ) from None
-            if msg[0] == "err":
-                raise FarmRequestError(msg[3], code=msg[2])
-            if msg[0] != "ok":
-                handle.failures += 1
-                if not handle.retired:
-                    self._spawn(handle)
-                raise FarmError(
-                    f"worker {handle.slot} protocol error: "
-                    f"frame {msg[0]!r}"
-                )
-            _, _, status, tier, body, tree = msg
-            return FarmResponse(status, tier, body, tree)
-        finally:
-            handle.lock.release()
+        entry = self._exchange(shard, [(key, request)], trace, timeout)[0]
+        if entry[0] == "err":
+            raise FarmRequestError(entry[2], code=entry[1])
+        _, status, tier, body, tree = entry
+        return FarmResponse(status, tier, body, tree)
 
     def compile_many(
         self,
         shard: int,
-        items: List[Tuple[str, Optional[Dict[str, Any]]]],
+        items: List[Tuple[str, Dict[str, Any]]],
         trace: bool = False,
         timeout: Optional[float] = None,
     ) -> List[Tuple[Any, ...]]:
-        """Run one ``/batch`` shard group on worker ``shard`` in a
-        single wire frame.
+        """Run one ``/batch`` shard group on worker ``shard``.
 
-        ``items`` is ``[(key, request), ...]`` in request order.  The
-        first frame carries keys only for cache-enabled items (the
-        warm hot path: a whole warm group costs one small round trip
-        instead of one per item); the worker marks tier-missed items
-        ``("need",)`` and a second frame re-sends just those with full
-        documents.  Returns one entry per item, order preserved:
-        ``("ok", status, tier, body, tree|None)`` or
-        ``("err", http_code, message)``.
+        ``items`` is ``[(key, request), ...]`` in request order; the
+        whole group shares one round trip (two when some items miss
+        both tiers).  Returns one entry per item, order preserved:
+        ``("ok", status, tier, body, tree|None)`` or ``("err",
+        http_code, message)``.
 
         Raises like :meth:`compile` — :class:`FarmWorkerCrashed` /
         :class:`FarmTimeout` / :class:`FarmError` fail the *group* as
         a unit (the caller falls back to per-item dispatch to keep
         fault isolation per item).
+        """
+        return self._exchange(shard, items, trace, timeout)
+
+    def _exchange(
+        self,
+        shard: int,
+        items: List[Tuple[str, Dict[str, Any]]],
+        trace: bool,
+        timeout: Optional[float],
+    ) -> List[Tuple[Any, ...]]:
+        """The one ``compile`` round trip behind both public calls.
+
+        Cache-enabled items go out key-only; those the worker answers
+        ``("need",)`` are re-sent with their documents.  A dead pipe
+        respawns the worker and raises :class:`FarmWorkerCrashed`; a
+        reply of the wrong kind does the same with :class:`FarmError`,
+        and an overrun deadline with :class:`FarmTimeout`.
         """
         deadline = (
             None if timeout is None else time.monotonic() + timeout
@@ -821,60 +771,57 @@ class WorkerFarm:
             if handle.proc is None or not handle.proc.is_alive():
                 self._spawn(handle)
             handle.requests += len(items)
-            rid = next(self._rid)
             first = [
-                (key, None) if key and request is not None
-                else (key, request)
+                (key, None) if key else (key, request)
                 for key, request in items
             ]
             try:
-                msg = self._recv(
-                    handle, rid, deadline,
-                    send=("compile_many", rid, first, trace),
-                )
-                if msg[0] == "ok_many":
-                    results = list(msg[2])
-                    trees = list(msg[3])
-                    needed = [
-                        i for i, entry in enumerate(results)
-                        if entry[0] == "need"
-                    ]
-                    if needed:
-                        rid = next(self._rid)
-                        msg = self._recv(
-                            handle, rid, deadline,
-                            send=("compile_many", rid,
-                                  [items[i] for i in needed], trace),
-                        )
-                        if msg[0] == "ok_many":
-                            for slot, entry, tree in zip(
-                                needed, msg[2], msg[3]
-                            ):
-                                results[slot] = entry
-                                trees[slot] = tree
+                results = self._roundtrip(handle, first, trace, deadline)
+                needed = [
+                    i for i, entry in enumerate(results)
+                    if entry[0] == "need"
+                ]
+                if needed:
+                    again = self._roundtrip(
+                        handle, [items[i] for i in needed], trace,
+                        deadline,
+                    )
+                    for i, entry in zip(needed, again):
+                        results[i] = entry
             except (EOFError, OSError, BrokenPipeError, ValueError):
-                handle.failures += 1
-                if not handle.retired:
-                    self._spawn(handle)
+                self._fail(handle)
                 raise FarmWorkerCrashed(
-                    f"compile worker {handle.slot} crashed mid-batch; "
-                    f"respawned, retry the items"
+                    f"compile worker {handle.slot} crashed mid-request; "
+                    f"respawned, retry the request"
                 ) from None
-            if msg[0] != "ok_many":
-                handle.failures += 1
-                if not handle.retired:
-                    self._spawn(handle)
-                raise FarmError(
-                    f"worker {handle.slot} protocol error: "
-                    f"frame {msg[0]!r}"
-                )
-            return [
-                ("ok", entry[1], entry[2], entry[3], tree)
-                if entry[0] == "ok" else entry
-                for entry, tree in zip(results, trees)
-            ]
+            except RecursionError:
+                # Pickling a deeply nested document overflowed before
+                # a byte was written: the worker is fine, the input bad.
+                raise FarmRequestError(
+                    "bad request: graph document nests too deeply"
+                ) from None
+            return results
         finally:
             handle.lock.release()
+
+    def _roundtrip(
+        self, handle: _WorkerHandle, items, trace: bool, deadline
+    ) -> List[Tuple[Any, ...]]:
+        rid = next(self._rid)
+        msg = self._recv(
+            handle, rid, deadline, send=("compile", rid, items, trace)
+        )
+        if msg[0] != "compiled" or len(msg[2]) != len(items):
+            self._fail(handle)
+            raise FarmError(
+                f"worker {handle.slot} protocol error: frame {msg[0]!r}"
+            )
+        return list(msg[2])
+
+    def _fail(self, handle: _WorkerHandle) -> None:
+        handle.failures += 1
+        if not handle.retired:
+            self._spawn(handle)
 
     def _claim(
         self, shard: int, deadline: Optional[float],
@@ -917,18 +864,15 @@ class WorkerFarm:
             else:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0 or not handle.conn.poll(remaining):
-                    handle.failures += 1
                     handle.proc.kill()
                     handle.proc.join(timeout=5)
-                    if not handle.retired:
-                        self._spawn(handle)
+                    self._fail(handle)
                     raise FarmTimeout(
                         f"worker {handle.slot} exceeded the request "
                         f"deadline; killed and respawned"
                     )
                 msg = handle.conn.recv()
-            if (msg[0] in ("ok", "ok_many", "err", "need")
-                    and msg[1] == rid):
+            if msg[1] == rid:
                 return msg
             # Stale frame from an earlier timed-out request on this
             # pipe generation: drop it and keep waiting.

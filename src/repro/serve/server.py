@@ -93,6 +93,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..exceptions import SDFError
 from ..sdf.io import canonical_hash
+from . import DEFAULT_PORT
 from .cache import ArtifactCache, cache_key
 from .farm import (
     FarmError,
@@ -104,8 +105,6 @@ from .farm import (
 from .service import CompileOptions
 
 __all__ = ["CompileServer", "DEFAULT_PORT"]
-
-DEFAULT_PORT = 8177
 
 #: How often ``serve_forever`` checks for a shutdown request; every
 #: :meth:`CompileServer.drain` waits up to this long for the accept
@@ -207,7 +206,10 @@ class _Handler(BaseHTTPRequestHandler):
     def _parse_fast(self) -> bool:
         """Parse request line + headers; False means already replied."""
         self.command = ""
-        self.request_version = version = "HTTP/0.9"
+        # An unparsable request line still gets an HTTP/1.1 status
+        # line: the stdlib's HTTP/0.9 default would send a bare body.
+        self.request_version = "HTTP/1.1"
+        version = "HTTP/0.9"
         self.close_connection = True
         requestline = self.raw_requestline.decode("iso-8859-1")
         self.requestline = requestline = requestline.rstrip("\r\n")
@@ -349,7 +351,8 @@ class _Server(ThreadingHTTPServer):
 
 
 class _Memo:
-    """Parsed-and-routed form of one distinct ``/compile`` body."""
+    """One routed item: worker request, cache key (``""`` when not
+    caching) and shard — a ``/compile`` body or one ``/batch`` item."""
 
     __slots__ = ("request", "key", "shard")
 
@@ -380,6 +383,12 @@ _PAYLOAD_SHAPES = {
               '"cache": true}',
     "/resize": '{"workers": N}',
 }
+
+
+#: What a malformed body or document can raise while it is parsed and
+#: routed; each maps to a one-line 400.  ``RecursionError`` comes from
+#: deeply nested JSON, in ``json.loads`` or in the canonical hash.
+_BAD_REQUEST = (SDFError, ValueError, KeyError, TypeError, RecursionError)
 
 
 def _require(request: Dict[str, Any], field: str, path: str) -> Any:
@@ -416,12 +425,8 @@ class CompileServer:
         (``.port`` reports the bound one).
     workers:
         Farm size: worker *processes* serving ``/compile`` and
-        ``/batch``, sharded by content digest (at least 1).
-    shard_by:
-        ``"digest"`` (graph content hash) or ``"key"`` (full cache
-        key) — see :class:`~repro.serve.farm.WorkerFarm`.
-    mem_entries:
-        Per-farm-worker in-memory report tier capacity.
+        ``/batch``, sharded by content digest (1 to
+        :data:`~repro.serve.farm.MAX_WORKERS`).
     allow_faults:
         Honor test-only ``"fault"`` request fields in farm workers
         (never set by the CLI).
@@ -443,8 +448,6 @@ class CompileServer:
         host: str = "127.0.0.1",
         port: int = DEFAULT_PORT,
         workers: int = 1,
-        shard_by: str = "digest",
-        mem_entries: int = 512,
         allow_faults: bool = False,
         queue_limit: int = 8,
         request_timeout: Optional[float] = None,
@@ -468,21 +471,16 @@ class CompileServer:
         }
         self._latencies: "deque[float]" = deque(maxlen=2048)
         self._trace_trees: List[Dict[str, Any]] = []
-        self._memo: "OrderedDict[str, _Memo]" = OrderedDict()
-        #: Batch plans by body SHA-256: the /batch analogue of
-        #: ``_memo`` — a repeated identical batch body skips the JSON
-        #: parse and both canonical-hash passes per item.
-        self._batch_memo: "OrderedDict[str, List[Tuple[str, Any]]]" = (
-            OrderedDict()
-        )
+        #: Parsed-and-routed bodies by path + body SHA-256: a
+        #: ``_Memo`` per ``/compile`` body, a list of ``_Memo`` or
+        #: item-error bytes per ``/batch`` body.
+        self._memo: "OrderedDict[str, Any]" = OrderedDict()
         self._memo_lock = threading.Lock()
         self._flights: Dict[str, _Flight] = {}
         self._flight_lock = threading.Lock()
         self.farm = WorkerFarm(
             size=workers,
             cache_root=cache.root if cache is not None else None,
-            shard_by=shard_by,
-            mem_entries=mem_entries,
             allow_faults=allow_faults,
         ).start()
         #: Shard-group dispatch for /batch.  A persistent pool:
@@ -555,9 +553,10 @@ class CompileServer:
     ) -> Tuple[int, bytes, Dict[str, str]]:
         """One POST body straight off the socket → response bytes.
 
-        ``/compile`` and ``/batch`` take the farm path: memoized parse
-        and routing, single-flight coalescing, direct pipe dispatch on
-        the connection thread(s).  ``/resize`` reconfigures the farm.
+        ``/compile`` and ``/batch`` share one path: memoized parse and
+        routing, admission, then single-flight and direct pipe
+        dispatch on the connection thread(s).  ``/resize``
+        reconfigures the farm.
         """
         if self.draining:
             return self._err(503, "server is draining")
@@ -565,9 +564,28 @@ class CompileServer:
         try:
             if path == "/resize":
                 return self._handle_resize(raw)
-            if path == "/compile":
-                return self._handle_farm(raw)
-            return self._handle_batch_farm(raw)
+            try:
+                plan = self._plan(path, raw)
+            except _BAD_REQUEST as exc:
+                with self._lock:
+                    self._counters["errors"] += 1
+                return self._err(400, f"bad request: {exc}")
+            with self._lock:
+                self._counters["requests"] += 1
+                if self._inflight >= self.queue_limit:
+                    self._counters["rejected"] += 1
+                    return self._err(
+                        429, "compile queue is full, retry later",
+                        {"Retry-After": "1"},
+                    )
+                self._inflight += 1
+            try:
+                if path == "/compile":
+                    return self._coalesced_dispatch(plan)
+                return self._run_batch(plan)
+            finally:
+                with self._lock:
+                    self._inflight -= 1
         finally:
             self._latencies.append(time.perf_counter() - start)
 
@@ -581,62 +599,81 @@ class CompileServer:
             headers or {},
         )
 
-    def _parse_compile(self, raw: bytes) -> _Memo:
-        """Parse + route one ``/compile`` body, memoized on its bytes.
+    def _plan(self, path: str, raw: bytes) -> Any:
+        """Parse + route one ``/compile`` or ``/batch`` body, memoized
+        on its path and bytes.
 
         A repeated identical body (the warm hot path) costs one
         SHA-256 and a dict probe instead of a JSON parse, an options
-        validation, and two canonical-JSON hashes.
+        validation, and two canonical-JSON hashes per item.  Batch
+        items that cannot be routed become item-error bytes in place.
+        Batch bodies with fault injection are never memoized — faults
+        must reach the worker on every POST.
         """
-        body_id = hashlib.sha256(raw).hexdigest()
+        body_id = path + hashlib.sha256(raw).hexdigest()
         with self._memo_lock:
-            memo = self._memo.get(body_id)
-            if memo is not None:
+            plan = self._memo.get(body_id)
+            if plan is not None:
                 self._memo.move_to_end(body_id)
-                return memo
+                return plan
         request = json.loads(raw or b"{}")
         if not isinstance(request, dict):
             raise ValueError("request body must be a JSON object")
-        options = CompileOptions.from_dict(request.get("options"))
-        document = _require(request, "graph", "/compile")
-        caching = (
-            bool(request.get("cache", True))
-            and self.cache is not None
-        )
-        key = cache_key(document, options.key_dict()) if caching else ""
-        if self.farm.shard_by == "key" and key:
-            shard = self.farm.shard_for(key)
+        caching = bool(request.get("cache", True)) and self.cache is not None
+        if path == "/compile":
+            options = CompileOptions.from_dict(request.get("options"))
+            plan = self._route(
+                _require(request, "graph", path), options, caching,
+                request.get("fault"),
+            )
+            memoize = True
         else:
-            shard = self.farm.shard_for(canonical_hash(document))
-        memo = _Memo(request, key, shard)
-        if len(raw) <= _MEMO_MAX_BODY:
+            documents = _require(request, "graphs", path)
+            if not isinstance(documents, list):
+                raise ValueError(
+                    "'graphs' must be a list of graph documents"
+                )
+            options = CompileOptions.from_dict(request.get("options"))
+            faults = request.get("faults")
+            if faults is not None and (
+                not isinstance(faults, list)
+                or len(faults) != len(documents)
+            ):
+                raise ValueError(
+                    "'faults' must align one-to-one with 'graphs'"
+                )
+            plan = []
+            for index, document in enumerate(documents):
+                try:
+                    plan.append(self._route(
+                        document, options, caching,
+                        faults[index] if faults is not None else None,
+                    ))
+                except _BAD_REQUEST as exc:
+                    plan.append(self._item_error(400, f"bad request: {exc}"))
+            memoize = faults is None
+        if memoize and len(raw) <= _MEMO_MAX_BODY:
             with self._memo_lock:
-                self._memo[body_id] = memo
+                self._memo[body_id] = plan
                 while len(self._memo) > _MEMO_MAX_ENTRIES:
                     self._memo.popitem(last=False)
-        return memo
+        return plan
 
-    def _handle_farm(self, raw: bytes) -> Tuple[int, bytes, Dict[str, str]]:
-        try:
-            memo = self._parse_compile(raw)
-        except (SDFError, ValueError, KeyError, TypeError) as exc:
-            with self._lock:
-                self._counters["errors"] += 1
-            return self._err(400, f"bad request: {exc}")
-        with self._lock:
-            self._counters["requests"] += 1
-            if self._inflight >= self.queue_limit:
-                self._counters["rejected"] += 1
-                return self._err(
-                    429, "compile queue is full, retry later",
-                    {"Retry-After": "1"},
-                )
-            self._inflight += 1
-        try:
-            return self._coalesced_dispatch(memo)
-        finally:
-            with self._lock:
-                self._inflight -= 1
+    def _route(
+        self, document: Any, options: CompileOptions, caching: bool,
+        fault: Any,
+    ) -> _Memo:
+        """One graph document → its worker request, cache key, shard."""
+        request = {
+            "graph": document, "options": options.as_dict(),
+            "cache": caching,
+        }
+        if fault:
+            request["fault"] = fault
+        key = cache_key(document, options.key_dict()) if caching else ""
+        return _Memo(
+            request, key, self.farm.shard_for(canonical_hash(document))
+        )
 
     def _coalesced_dispatch(
         self, memo: _Memo, path: str = "/compile"
@@ -722,81 +759,8 @@ class CompileServer:
             self._trace_trees.append(recorder.serialize())
 
     # -- batch path -----------------------------------------------------
-    def _parse_batch(self, raw: bytes) -> List[Tuple[str, Any]]:
-        """Parse + route one ``/batch`` body, memoized on its bytes.
-
-        Returns one entry per item in request order: ``("item", memo)``
-        for a routable document, ``("err", body_bytes)`` for a
-        malformed one.  Like :meth:`_parse_compile`, a repeated
-        identical batch body (the warm hot path) costs one SHA-256 and
-        a dict probe instead of a JSON parse plus two canonical-JSON
-        hashes *per item*.  Bodies with fault injection are never
-        memoized — faults must reach the worker on every POST.
-        """
-        body_id = hashlib.sha256(raw).hexdigest()
-        with self._memo_lock:
-            entries = self._batch_memo.get(body_id)
-            if entries is not None:
-                self._batch_memo.move_to_end(body_id)
-                return entries
-        request = json.loads(raw or b"{}")
-        if not isinstance(request, dict):
-            raise ValueError("request body must be a JSON object")
-        documents = _require(request, "graphs", "/batch")
-        if not isinstance(documents, list):
-            raise ValueError(
-                "'graphs' must be a list of graph documents"
-            )
-        options = CompileOptions.from_dict(request.get("options"))
-        caching = (
-            bool(request.get("cache", True))
-            and self.cache is not None
-        )
-        faults = request.get("faults")
-        if faults is not None and (
-            not isinstance(faults, list)
-            or len(faults) != len(documents)
-        ):
-            raise ValueError(
-                "'faults' must align one-to-one with 'graphs'"
-            )
-        entries = []
-        options_dict = request.get("options") or {}
-        for index, document in enumerate(documents):
-            try:
-                item = {
-                    "graph": document,
-                    "options": options_dict,
-                    "cache": caching,
-                }
-                if faults is not None and faults[index]:
-                    item["fault"] = faults[index]
-                key = (
-                    cache_key(document, options.key_dict())
-                    if caching else ""
-                )
-                if self.farm.shard_by == "key" and key:
-                    shard = self.farm.shard_for(key)
-                else:
-                    shard = self.farm.shard_for(
-                        canonical_hash(document)
-                    )
-            except (SDFError, ValueError, KeyError, TypeError) as exc:
-                entries.append(
-                    ("err",
-                     self._item_error(400, f"bad request: {exc}"))
-                )
-                continue
-            entries.append(("item", _Memo(item, key, shard)))
-        if faults is None and len(raw) <= _MEMO_MAX_BODY:
-            with self._memo_lock:
-                self._batch_memo[body_id] = entries
-                while len(self._batch_memo) > _MEMO_MAX_ENTRIES:
-                    self._batch_memo.popitem(last=False)
-        return entries
-
-    def _handle_batch_farm(
-        self, raw: bytes
+    def _run_batch(
+        self, plan: List[Any]
     ) -> Tuple[int, bytes, Dict[str, str]]:
         """``/batch`` through the farm: per-item sharding + isolation.
 
@@ -811,109 +775,85 @@ class CompileServer:
         that item only.  Success items splice the workers' rendered
         response bytes verbatim — no decode/re-encode on the hot path.
         """
-        try:
-            entries = self._parse_batch(raw)
-        except (SDFError, ValueError, KeyError, TypeError,
-                json.JSONDecodeError) as exc:
+        parts: List[Optional[bytes]] = [None] * len(plan)
+        groups: Dict[int, List[Tuple[int, _Memo]]] = {}
+        parse_errors = 0
+        for index, entry in enumerate(plan):
+            if isinstance(entry, bytes):
+                parts[index] = entry
+                parse_errors += 1
+            else:
+                groups.setdefault(entry.shard, []).append((index, entry))
+        if parse_errors:
             with self._lock:
-                self._counters["errors"] += 1
-            return self._err(400, f"bad request: {exc}")
-        with self._lock:
-            self._counters["requests"] += 1
-            if self._inflight >= self.queue_limit:
-                self._counters["rejected"] += 1
-                return self._err(
-                    429, "compile queue is full, retry later",
-                    {"Retry-After": "1"},
-                )
-            self._inflight += 1
-        try:
-            parts: List[Optional[bytes]] = [None] * len(entries)
-            groups: Dict[int, List[Tuple[int, _Memo]]] = {}
-            parse_errors = 0
-            for index, (kind, value) in enumerate(entries):
-                if kind == "err":
-                    parts[index] = value
-                    parse_errors += 1
-                else:
-                    groups.setdefault(value.shard, []).append(
-                        (index, value)
-                    )
-            if parse_errors:
-                with self._lock:
-                    self._counters["errors"] += parse_errors
+                self._counters["errors"] += parse_errors
 
-            def run_item(index: int, memo: _Memo) -> None:
-                code, body, _headers = self._coalesced_dispatch(
-                    memo, path="/batch"
-                )
-                if code == 200:
-                    parts[index] = body
-                else:
-                    message = ""
-                    try:
-                        message = json.loads(body).get("error", "")
-                    except (ValueError, AttributeError):
-                        pass
-                    parts[index] = self._item_error(code, message)
-
-            def run_group(members: List[Tuple[int, _Memo]]) -> None:
-                trace = self.trace_path is not None
+        def run_item(index: int, memo: _Memo) -> None:
+            code, body, _headers = self._coalesced_dispatch(
+                memo, path="/batch"
+            )
+            if code == 200:
+                parts[index] = body
+            else:
+                message = ""
                 try:
-                    results = self.farm.compile_many(
-                        members[0][1].shard,
-                        [(memo.key, memo.request)
-                         for _, memo in members],
-                        trace=trace, timeout=self.request_timeout,
-                    )
-                except (FarmWorkerCrashed, FarmTimeout, FarmError):
-                    # The grouped frame failed as a unit (the worker
-                    # died or hung mid-group).  Fall back to per-item
-                    # dispatch so only the actually-bad item errors —
-                    # fault isolation stays per item, not per shard.
+                    message = json.loads(body).get("error", "")
+                except (ValueError, AttributeError):
+                    pass
+                parts[index] = self._item_error(code, message)
+
+        def run_group(members: List[Tuple[int, _Memo]]) -> None:
+            trace = self.trace_path is not None
+            try:
+                results = self.farm.compile_many(
+                    members[0][1].shard,
+                    [(memo.key, memo.request) for _, memo in members],
+                    trace=trace, timeout=self.request_timeout,
+                )
+            except FarmError as exc:
+                # The grouped frame failed as a unit (the worker died
+                # or hung mid-group, or one document could not be
+                # sent).  Fall back to per-item dispatch so only the
+                # actually-bad item errors — fault isolation stays per
+                # item, not per shard.
+                if not isinstance(exc, FarmRequestError):
                     with self._lock:
                         self._counters["worker_failures"] += 1
-                    for index, memo in members:
-                        run_item(index, memo)
-                    return
-                for (index, memo), entry in zip(members, results):
-                    if entry[0] != "ok":
-                        with self._lock:
-                            self._counters["errors"] += 1
-                        parts[index] = self._item_error(
-                            entry[1], entry[2]
-                        )
-                        continue
-                    _, status, _tier, body, tree = entry
-                    self._account(status)
-                    if tree is not None:
-                        self._graft_worker_trace(memo, tree, "/batch")
-                    parts[index] = body
+                for index, memo in members:
+                    run_item(index, memo)
+                return
+            for (index, memo), entry in zip(members, results):
+                if entry[0] != "ok":
+                    with self._lock:
+                        self._counters["errors"] += 1
+                    parts[index] = self._item_error(entry[1], entry[2])
+                    continue
+                _, status, _tier, body, tree = entry
+                self._account(status)
+                if tree is not None:
+                    self._graft_worker_trace(memo, tree, "/batch")
+                parts[index] = body
 
-            ordered = [groups[shard] for shard in sorted(groups)]
-            if len(ordered) == 1:
-                run_group(ordered[0])
-            elif ordered:
-                # First group runs inline; the rest overlap on the
-                # persistent pool (per-POST Thread spawns cost more
-                # than the warm dispatches they parallelize).
-                futures = [
-                    self._batch_pool.submit(run_group, members)
-                    for members in ordered[1:]
-                ]
-                run_group(ordered[0])
-                for future in futures:
-                    future.result()
-            filled = [
-                part if part is not None
-                else self._item_error(500, "internal error")
-                for part in parts
+        ordered = [groups[shard] for shard in sorted(groups)]
+        if len(ordered) == 1:
+            run_group(ordered[0])
+        elif ordered:
+            # First group runs inline; the rest overlap on the
+            # persistent pool (per-POST Thread spawns cost more than
+            # the warm dispatches they parallelize).
+            futures = [
+                self._batch_pool.submit(run_group, members)
+                for members in ordered[1:]
             ]
-            body = b'{"responses":[' + b",".join(filled) + b"]}"
-            return 200, body, {}
-        finally:
-            with self._lock:
-                self._inflight -= 1
+            run_group(ordered[0])
+            for future in futures:
+                future.result()
+        filled = [
+            part if part is not None
+            else self._item_error(500, "internal error")
+            for part in parts
+        ]
+        return 200, b'{"responses":[' + b",".join(filled) + b"]}", {}
 
     @staticmethod
     def _item_error(code: int, message: str) -> bytes:
@@ -931,7 +871,7 @@ class CompileServer:
             if not isinstance(request, dict):
                 raise ValueError("request body must be a JSON object")
             workers = int(_require(request, "workers", "/resize"))
-        except (ValueError, TypeError, json.JSONDecodeError) as exc:
+        except (ValueError, TypeError, RecursionError) as exc:
             return self._err(400, f"bad request: {exc}")
         try:
             info = self.resize(workers)
@@ -950,7 +890,6 @@ class CompileServer:
         # are re-routed by the farm itself).
         with self._memo_lock:
             self._memo.clear()
-            self._batch_memo.clear()
         return info
 
     def _account(self, status: str) -> None:

@@ -10,24 +10,16 @@ benchmarks call the same two methods:
   :class:`~repro.serve.report.CompilationReport` plus a cache status
   (``"hit"``, ``"miss"``, or ``"disabled"``);
 * :meth:`CompileService.compile_document_tiered` — the same flow but
-  also reporting *which* tier answered (``"memory"``, ``"disk"``, or
-  ``"compile"``); the farm workers use this to keep per-tier counters.
+  also reporting *which* tier answered (``"disk"`` or ``"compile"``);
+  the farm workers use this to keep per-tier counters.
 
 Repeated compiles of the same graph within one service process also
 share a :class:`~repro.scheduling.session.CompilationSession` (a small
 LRU keyed by the graph's canonical hash), so even cache-disabled
 traffic reuses the per-graph precomputation.
 
-With ``memory_entries > 0`` the service additionally keeps a bounded
-in-process report tier in front of the on-disk cache: an LRU of
-canonical report payloads keyed by the full cache key.  A memory hit
-skips the disk read *and* the JSON decode of the entry file, yet
-rebuilds a fresh :class:`CompilationReport` each time (callers mutate
-``wall_s``), so every tier returns bit-identical ``canonical()``
-output — the property the equivalence tests and the farm benchmark
-pin.  The farm gives each worker process its own memory tier; because
-requests are sharded by content digest, a graph's entries concentrate
-on one worker instead of being duplicated pool-wide.
+The in-memory tier in front of the disk lives in the farm worker
+(:mod:`repro.serve.farm`), which keeps the rendered response bytes.
 
 With the cache disabled the flow degrades to exactly the pre-service
 pipeline — same :func:`~repro.scheduling.pipeline.implement` call,
@@ -36,7 +28,6 @@ same outputs — which the equivalence tests pin bit-for-bit.
 
 from __future__ import annotations
 
-import json
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -155,67 +146,25 @@ class CompileService:
         disable caching entirely (every request recompiles).
     max_sessions:
         Size of the per-graph :class:`CompilationSession` LRU.
-    memory_entries:
-        Capacity of the in-process report tier (0 disables it).  Only
-        meaningful with a ``cache``: the memory tier fronts the disk
-        tier and is keyed by the same content address.
     """
 
     def __init__(
         self,
         cache: Optional[ArtifactCache] = None,
         max_sessions: int = 32,
-        memory_entries: int = 0,
     ) -> None:
         self.cache = cache
         self.max_sessions = max_sessions
         self._sessions: "OrderedDict[str, CompilationSession]" = OrderedDict()
-        self._memory: "Optional[OrderedDict[str, Dict[str, Any]]]" = (
-            OrderedDict() if memory_entries > 0 else None
-        )
-        self.memory_entries = memory_entries
-        self.memory_hits = 0
 
-    # -- memory tier ----------------------------------------------------
-    def _memory_get(self, key: str) -> Optional[CompilationReport]:
-        if self._memory is None:
-            return None
-        payload = self._memory.get(key)
-        if payload is None:
-            return None
-        self._memory.move_to_end(key)
-        self.memory_hits += 1
-        report = CompilationReport.from_json(payload)
-        report.key = key
-        report.cached = True
-        return report
+    def lookup(self, key: str, recorder=None) -> Optional[CompilationReport]:
+        """Probe the disk tier for ``key`` without a document.
 
-    def _memory_put(self, key: str, report: CompilationReport) -> None:
-        if self._memory is None:
-            return
-        # Store the canonical payload (volatile fields normalized away)
-        # so a memory hit reconstructs exactly what a disk hit would.
-        self._memory[key] = json.loads(report.canonical())
-        self._memory.move_to_end(key)
-        while len(self._memory) > self.memory_entries:
-            self._memory.popitem(last=False)
-
-    def lookup(
-        self, key: str, recorder=None
-    ) -> Optional[Tuple[CompilationReport, str]]:
-        """Probe the cache tiers for ``key`` without a document.
-
-        Returns ``(report, tier)`` with ``tier`` in ``("memory",
-        "disk")``, or ``None`` when both tiers miss (the caller must
-        then supply the document and compile).  A disk hit is promoted
-        into the memory tier.  Never counts a disk miss against the
-        cache's ``misses`` counter — a probe is not a request outcome.
+        Returns the cached report, or ``None`` on a miss (the caller
+        must then supply the document and compile).  Never counts a
+        miss against the cache's ``misses`` counter — a probe is not a
+        request outcome.
         """
-        report = self._memory_get(key)
-        if report is not None:
-            if recorder is not None:
-                recorder.count("serve.cache_hits")
-            return report, "memory"
         if self.cache is None:
             return None
         span = (
@@ -235,8 +184,7 @@ class CompileService:
             return None
         if recorder is not None:
             recorder.count("serve.cache_hits")
-        self._memory_put(key, report)
-        return report, "disk"
+        return report
 
     # -- session reuse --------------------------------------------------
     def _session_for(self, digest: str, graph) -> CompilationSession:
@@ -282,21 +230,19 @@ class CompileService:
     ) -> Tuple[CompilationReport, str, str]:
         """Like :meth:`compile_document`, plus the answering tier.
 
-        Returns ``(report, status, tier)`` where ``tier`` is
-        ``"memory"`` (in-process report LRU), ``"disk"`` (on-disk
-        artifact cache), or ``"compile"`` (ran the pipeline).  All
-        three produce bit-identical ``canonical()`` reports.
+        Returns ``(report, status, tier)`` where ``tier`` is ``"disk"``
+        (on-disk artifact cache) or ``"compile"`` (ran the pipeline).
+        Both produce bit-identical ``canonical()`` reports.
         """
         options = options or CompileOptions()
         caching = use_cache and self.cache is not None
         key = cache_key(document, options.key_dict()) if caching else ""
         start = time.perf_counter()
         if caching:
-            found = self.lookup(key, recorder=recorder)
-            if found is not None:
-                report, tier = found
+            report = self.lookup(key, recorder=recorder)
+            if report is not None:
                 report.wall_s = time.perf_counter() - start
-                return report, "hit", tier
+                return report, "hit", "disk"
         graph = from_json(document)
         session = self._session_for(canonical_hash(document), graph)
         result = implement(
@@ -320,7 +266,6 @@ class CompileService:
                 recorder.count("serve.cache_misses")
             self.cache.misses += 1  # lookup() deferred the accounting
             self.cache.put(key, report)
-            self._memory_put(key, report)
             status = "miss"
         report.wall_s = time.perf_counter() - start
         return report, status, "compile"

@@ -4,6 +4,7 @@ supervision, client retries, and cache gc under concurrency."""
 import json
 import multiprocessing
 import os
+import re
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -15,6 +16,7 @@ from repro.scheduling.pipeline import implement
 from repro.sdf.graph import SDFGraph
 from repro.sdf.io import canonical_hash, to_json
 from repro.serve import client as serve_client
+from repro.serve import farm as farm_module
 from repro.serve.cache import ArtifactCache, cache_key
 from repro.serve.client import (
     BatchItemError,
@@ -24,10 +26,10 @@ from repro.serve.client import (
     get_json,
     resize_remote,
 )
-from repro.serve.farm import WorkerFarm, rendezvous_shard
+from repro.serve.farm import MAX_WORKERS, WorkerFarm, rendezvous_shard
 from repro.serve.report import CompilationReport
 from repro.serve.server import CompileServer
-from repro.serve.service import CompileService
+from repro.serve.service import CompileOptions, CompileService
 
 
 def small_graph(name="farm_sample"):
@@ -85,62 +87,109 @@ class TestRendezvousShard:
             rendezvous_shard("ab", 0)
         with pytest.raises(ValueError):
             WorkerFarm(size=0)
-        with pytest.raises(ValueError):
-            WorkerFarm(size=1, shard_by="hash")
+
+    def test_size_above_cap_rejected_before_spawning(self, monkeypatch):
+        spawned = []
+        monkeypatch.setattr(
+            WorkerFarm, "_spawn", lambda self, handle: spawned.append(handle)
+        )
+        with pytest.raises(ValueError, match=str(MAX_WORKERS)):
+            WorkerFarm(size=MAX_WORKERS + 1, supervise_interval=0)
+        assert spawned == []
+
+
+def tier_worker(root):
+    """A farm worker driven in process (no pipe) over cache ``root``."""
+    return farm_module._Worker(
+        None, {"cache_root": str(root) if root is not None else None}
+    )
+
+
+def tier_request(doc):
+    return {"graph": doc, "options": {}, "cache": True}
+
+
+def tier_key(doc):
+    return cache_key(doc, CompileOptions().key_dict())
+
+
+def served(body):
+    """A rendered body's bytes with the volatile ``wall_s`` masked."""
+    return re.sub(rb'"wall_s": [^,}]+', b'"wall_s": _', body)
 
 
 class TestMemoryTier:
-    def test_three_tiers_bit_identical(self, tmp_path):
-        service = CompileService(
-            cache=ArtifactCache(str(tmp_path)), memory_entries=4
-        )
-        doc = to_json(small_graph())
-        cold, s1, t1 = service.compile_document_tiered(doc)
-        warm_mem, s2, t2 = service.compile_document_tiered(doc)
-        assert (s1, t1) == ("miss", "compile")
-        assert (s2, t2) == ("hit", "memory")
-        # A second service over the same directory has a cold memory
-        # tier: first hit comes from disk, the next from memory.
-        other = CompileService(
-            cache=ArtifactCache(str(tmp_path)), memory_entries=4
-        )
-        warm_disk, s3, t3 = other.compile_document_tiered(doc)
-        warm_mem2, s4, t4 = other.compile_document_tiered(doc)
-        assert (s3, t3) == ("hit", "disk")
-        assert (s4, t4) == ("hit", "memory")
-        for report in (warm_mem, warm_disk, warm_mem2):
-            assert report.canonical() == cold.canonical()
-            assert report.cached
+    """The worker's one in-memory tier of rendered hit bodies."""
 
-    def test_memory_lru_bounded(self, tmp_path):
-        service = CompileService(
-            cache=ArtifactCache(str(tmp_path)), memory_entries=2
+    def test_three_tiers_bit_identical(self, tmp_path):
+        worker = tier_worker(tmp_path)
+        doc = to_json(small_graph())
+        key = tier_key(doc)
+        assert worker._compile_inner(key, None, None) is None  # need
+        status, tier, cold = worker._compile_inner(
+            key, tier_request(doc), None
         )
+        assert (status, tier) == ("miss", "compile")
+        # The compile filled the memory tier: the next request is a
+        # memory hit, key only.
+        status, tier, warm_mem = worker._compile_inner(key, None, None)
+        assert (status, tier) == ("hit", "memory")
+        # A second worker over the same directory has a cold memory
+        # tier: first hit comes from disk, the next from memory.
+        other = tier_worker(tmp_path)
+        status, tier, warm_disk = other._compile_inner(key, None, None)
+        assert (status, tier) == ("hit", "disk")
+        status, tier, warm_mem2 = other._compile_inner(key, None, None)
+        assert (status, tier) == ("hit", "memory")
+        assert warm_mem2 == warm_disk
+        # A memory hit after a compile serves what a disk hit serves.
+        assert served(warm_mem) == served(warm_disk)
+        reference = CompilationReport.from_json(json.loads(cold)["report"])
+        for body in (warm_mem, warm_disk):
+            report = CompilationReport.from_json(json.loads(body)["report"])
+            assert report.canonical() == reference.canonical()
+            assert report.cached
+        assert worker._stats()["memory_entries"] == 1
+        assert worker.counters.counter_totals() == {
+            "farm.compiles": 1, "farm.mem_hits": 1,
+        }
+
+    def test_memory_lru_bounded(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(farm_module, "MEMORY_ENTRIES", 2)
+        worker = tier_worker(tmp_path)
         docs = [to_json(small_graph(f"m{i}")) for i in range(3)]
         for doc in docs:
-            service.compile_document_tiered(doc)
-        assert len(service._memory) == 2
+            worker._compile_inner(tier_key(doc), tier_request(doc), None)
+        assert worker._stats()["memory_entries"] == 2
         # Oldest graph fell out of memory; it must come back from disk.
-        _, status, tier = service.compile_document_tiered(docs[0])
+        status, tier, _ = worker._compile_inner(tier_key(docs[0]), None, None)
         assert (status, tier) == ("hit", "disk")
+        assert worker._stats()["memory_entries"] == 2
 
     def test_lookup_misses_do_not_skew_counters(self, tmp_path):
-        service = CompileService(
-            cache=ArtifactCache(str(tmp_path)), memory_entries=4
-        )
+        worker = tier_worker(tmp_path)
         doc = to_json(small_graph())
-        key = cache_key(doc, {"method": "rpmc", "seed": 0,
-                              "use_chain_dp": True,
-                              "occurrence_cap": 64})
-        assert service.lookup(key) is None
-        service.compile_document_tiered(doc)
-        # One logical miss happened; the probe must not double-count.
-        assert service.cache.misses == 1
+        key = tier_key(doc)
+        assert worker.service.lookup(key) is None
+        assert worker._compile_inner(key, None, None) is None
+        worker._compile_inner(key, tier_request(doc), None)
+        # One logical miss happened; the probes must not count.
+        assert worker.service.cache.misses == 1
+        assert worker.counters.counter_totals() == {"farm.compiles": 1}
 
     def test_disabled_memory_tier_by_default(self, tmp_path):
-        service = CompileService(cache=ArtifactCache(str(tmp_path)))
-        assert service._memory is None
+        # Without a cache a worker has no tiers: every request compiles
+        # and nothing is remembered.
+        worker = tier_worker(None)
         doc = to_json(small_graph())
+        request = {"graph": doc, "options": {}, "cache": False}
+        for _ in range(2):
+            status, tier, _ = worker._compile_inner("", request, None)
+            assert (status, tier) == ("disabled", "compile")
+        assert worker._stats()["memory_entries"] == 0
+        # The service itself keeps no memory tier: a repeat compile is
+        # a disk hit.
+        service = CompileService(cache=ArtifactCache(str(tmp_path)))
         service.compile_document_tiered(doc)
         _, status, tier = service.compile_document_tiered(doc)
         assert (status, tier) == ("hit", "disk")
@@ -490,6 +539,16 @@ class TestFarmResize:
             serve_client._post(farm_server.url, "/resize", {})
         assert err.value.status == 400
         assert "missing required field 'workers'" in str(err.value)
+
+    def test_resize_above_cap_400_and_size_unchanged(self, farm_server):
+        size = farm_server.farm.size
+        with pytest.raises(ServeClientError) as err:
+            resize_remote(MAX_WORKERS + 1, url=farm_server.url)
+        assert err.value.status == 400
+        assert str(MAX_WORKERS) in str(err.value)
+        assert farm_server.farm.size == size
+        health = get_json(farm_server.url, "/healthz")
+        assert health["farm"]["alive"] == size
 
     def test_resize_under_load_drops_nothing(self, farm_server):
         # Acceptance: resizing 2->4->3->2 while batches hammer the

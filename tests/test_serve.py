@@ -283,6 +283,18 @@ class TestCompileServer:
             compile_remote({"actors": "nope"}, url=live_server.url)
         assert err.value.status == 400
 
+    @pytest.mark.parametrize("document", [
+        [[]],
+        {"actors": [{"name": "a"}], "edges": [["a", "a"]]},
+    ])
+    def test_wrong_json_type_document_400(self, live_server, document):
+        # A list where the graph layer expects an object used to
+        # escape it as an AttributeError: a 500 for the client's
+        # mistake.
+        with pytest.raises(ServeClientError) as err:
+            compile_remote(document, url=live_server.url)
+        assert err.value.status == 400
+
     def test_unknown_option_400(self, live_server):
         with pytest.raises(ServeClientError) as err:
             compile_remote(
@@ -340,6 +352,99 @@ class TestCompileServer:
         assert b"Connection: close" in head.split(b"\r\n")
         assert b"\n" not in body
         assert "Content-Length" in json.loads(body)["error"]
+
+    @pytest.mark.parametrize("line, code", [
+        (b"\x16\x03\x01 garbage", 400),
+        (b"just-one-word", 400),
+        (b"GARBAGE / HTTP/9.9", 505),
+    ])
+    def test_garbage_request_line_gets_status_line(
+        self, live_server, line, code
+    ):
+        # The stdlib default answered an unparsable request line the
+        # HTTP/0.9 way: an HTML body with no status line at all.
+        reply = raw_post(live_server, line + b"\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 %d " % code), reply[:80]
+
+    def test_deeply_nested_body_400(self, live_server):
+        # json.loads raises RecursionError on deep nesting; it used to
+        # escape the handler, drop the connection with no reply and
+        # print a traceback.
+        body = b"[" * 200000
+        for path in (b"/compile", b"/batch", b"/resize"):
+            reply = raw_post(
+                live_server,
+                b"POST " + path + b" HTTP/1.1\r\nHost: localhost\r\n"
+                b"Connection: close\r\n"
+                b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n"
+                + body,
+            )
+            head, _, payload = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400 "), (path, reply[:80])
+            assert b"\n" not in payload
+            assert json.loads(payload)["error"].startswith("bad request: ")
+        health = raw_post(
+            live_server,
+            b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n"
+            b"Connection: close\r\n\r\n",
+        )
+        assert health.startswith(b"HTTP/1.1 200 ")
+
+    def test_nesting_near_the_recursion_limit_400(self, live_server):
+        # Depths json.loads accepts may still overflow later: in the
+        # canonical hash, in pickling the frame to the worker, or in
+        # the worker's own hashing.  Every one must end in a 400 (a
+        # per-item 400 inside /batch), never a dropped connection.
+        import sys
+
+        limit = sys.getrecursionlimit()
+        good = json.dumps(to_json(small_graph())).encode()
+        for depth in range(limit - 300, limit + 50, 25):
+            nested = b"[" * depth + b"]" * depth
+            for path, body in (
+                (b"/compile", b'{"graph": ' + nested + b"}"),
+                (b"/batch", b'{"graphs": [' + nested + b", " + good + b"]}"),
+            ):
+                reply = raw_post(
+                    live_server,
+                    b"POST " + path + b" HTTP/1.1\r\nHost: localhost\r\n"
+                    b"Connection: close\r\nContent-Length: "
+                    + str(len(body)).encode() + b"\r\n\r\n" + body,
+                )
+                head, _, payload = reply.partition(b"\r\n\r\n")
+                if path == b"/compile":
+                    assert head.startswith(b"HTTP/1.1 400 "), (depth, head)
+                    continue
+                assert head.startswith(b"HTTP/1.1 "), (depth, head)
+                if head.startswith(b"HTTP/1.1 200 "):
+                    nested_item, good_item = json.loads(payload)["responses"]
+                    assert nested_item["code"] == 400, (depth, nested_item)
+                    assert good_item["status"] in ("miss", "hit")
+                else:
+                    assert head.startswith(b"HTTP/1.1 400 "), (depth, head)
+
+    def test_batch_item_hash_overflow_is_item_400(
+        self, live_server, monkeypatch
+    ):
+        # Routing hashes each document on its own, and the canonical
+        # hash can overflow on nesting json.loads accepted: that item
+        # alone gets a 400 entry.
+        real_hash = server_module.canonical_hash
+
+        def shallow_only(document):
+            if isinstance(document, list):
+                raise RecursionError("maximum recursion depth exceeded")
+            return real_hash(document)
+
+        monkeypatch.setattr(server_module, "canonical_hash", shallow_only)
+        good = to_json(small_graph())
+        response = serve_client._post(
+            live_server.url, "/batch", {"graphs": [good, [[[]]], good]}
+        )
+        items = response["responses"]
+        assert items[1]["status"] == "error" and items[1]["code"] == 400
+        assert "recursion" in items[1]["error"]
+        assert (items[0]["status"], items[2]["status"]) == ("miss", "hit")
 
     def test_backpressure_429(self):
         server = CompileServer(
@@ -455,15 +560,30 @@ class TestCacheCorruptInjection:
         assert outcome.caught, outcome.detail
 
 
+def run_fresh(code):
+    """Run ``code`` in a fresh interpreter on this checkout's ``src``."""
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    return run
+
+
 class TestImportFootprint:
     def test_service_compile_leaves_numpy_unloaded(self):
         # numpy is optional and only the batched VM uses it; the
         # compile server, its farm workers and the pipeline must not
         # pay its import time and memory.  A fresh interpreter, because
         # this one has imported numpy through other tests.
-        import subprocess
-        import sys
-
         code = (
             "import sys\n"
             "import repro.serve.server, repro.serve.farm\n"
@@ -476,25 +596,13 @@ class TestImportFootprint:
             "assert report.graph == 'satrec', report.graph\n"
             "print('numpy' in sys.modules)\n"
         )
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
-        run = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert run.returncode == 0, run.stderr
+        run = run_fresh(code)
         assert run.stdout.strip() == "False"
 
     def test_cli_compile_loads_no_service_stack(self):
         # ``repro compile`` is a one-shot tool: neither numpy (only the
         # batched VM needs it) nor the service stack (HTTP server,
         # client, farm) may be imported on its path.
-        import subprocess
-        import sys
-
         code = (
             "import contextlib, io, sys\n"
             "import repro.cli\n"
@@ -505,14 +613,35 @@ class TestImportFootprint:
             "print(sorted(m for m in sys.modules if any(\n"
             "    m == h or m.startswith(h + '.') for h in heavy)))\n"
         )
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
+        run = run_fresh(code)
+        assert run.stdout.strip() == "[]"
+
+    def test_cache_stats_and_resize_load_no_compiler_or_server(
+        self, tmp_path
+    ):
+        # Neither command compiles or serves: the compiler, the server,
+        # the farm and multiprocessing stay unloaded.
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            closed_url = "http://127.0.0.1:%d" % sock.getsockname()[1]
+        code = (
+            "import contextlib, io, sys\n"
+            "import repro.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert repro.cli.main(\n"
+            f"        ['cache', 'stats', '--cache-dir', {str(tmp_path)!r}]"
+            ") == 0\n"
+            "try:\n"
+            "    repro.cli.main(['resize', '2', '--url', "
+            f"{closed_url!r}, '--timeout', '5'])\n"
+            "except SystemExit as exc:\n"
+            "    assert 'resize failed' in str(exc), exc\n"
+            "else:\n"
+            "    raise AssertionError('resize reached a closed port')\n"
+            "heavy = ('repro.scheduling', 'repro.serve.server',\n"
+            "         'repro.serve.farm', 'multiprocessing')\n"
+            "print(sorted(m for m in sys.modules if any(\n"
+            "    m == h or m.startswith(h + '.') for h in heavy)))\n"
         )
-        run = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert run.returncode == 0, run.stderr
+        run = run_fresh(code)
         assert run.stdout.strip() == "[]"
